@@ -43,12 +43,20 @@ from .endos import (
     endo_compose,
     endo_to_affine,
 )
-from .linalg import AffineSpace, QMatrix, mat_solve_affine, nonneg_kernel_witness, rref_rows
+from .linalg import (
+    AffineSpace,
+    QMatrix,
+    VerificationError,
+    mat_solve_affine,
+    nonneg_kernel_witness,
+    rref_rows,
+)
 from .ode import (
     OdeSolutions,
     ParamSolutionSpace,
     degree_bound,
     has_nonzero_k_solution,
+    reduce_linear_ode,
     solve_linear_ode,
     solve_parametric,
 )
@@ -87,6 +95,7 @@ __all__ = [
     "SimplicityVerdict",
     "TriangularDerivation",
     "UniPoly",
+    "VerificationError",
     "affine_inverse",
     "affine_is_automorphism",
     "affine_to_endo",
@@ -116,6 +125,7 @@ __all__ = [
     "parse_endo",
     "parse_poly",
     "preimage_bounded",
+    "reduce_linear_ode",
     "rref_rows",
     "sample_isotropy_element",
     "solve_linear_ode",

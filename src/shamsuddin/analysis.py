@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .derivations import Block, Derivation, TriangularDerivation, apply_derivation
 from .endos import AffineEndo, PolyEndo, affine_is_automorphism, affine_to_endo, commutes
-from .linalg import AffineSpace, QMatrix, nonneg_kernel_witness
-from .ode import degree_bound, has_nonzero_k_solution, solve_parametric
+from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
+from .ode import degree_bound, has_nonzero_k_solution, reduce_linear_ode, solve_parametric
 from .polynomials import MultiPoly, Rational, UniPoly
 
 #: solution pair of the parametric ODE: weights k and the polynomial z
@@ -82,10 +82,12 @@ def _block_witness_endo(blk: Block, witness: Witness | None) -> PolyEndo:
         images = [MultiPoly.y(r, t) for t in range(1, r + 1)]
         images[0] = images[0] * e - h1.lift(r) * (e - 1)
         return PolyEndo(MultiPoly.x(r), tuple(images))
-    assert witness is not None, "non-simple block with a != 0 must carry an ODE witness"
+    if witness is None:
+        raise VerificationError("non-simple block with a != 0 must carry an ODE witness")
     k, z = witness
     j0 = next(j for j, kj in enumerate(k) if kj)
-    assert k[j0] == 1
+    if k[j0] != 1:
+        raise VerificationError(f"ODE witness weights {k} are not normalized")
     img = MultiPoly.y(r, j0 + 1) * (1 - e) + z.lift(r) * e
     for j, kj in enumerate(k):
         if j != j0 and kj:
@@ -105,7 +107,8 @@ def isotropy_witness(d: Derivation) -> PolyEndo | None:
     index, witness = next((i, w) for i, w in verdict.per_block if w is not None)
     local = _block_witness_endo(d.blocks[index], witness)
     rho = embed_block_endo(d, index, local)
-    assert not rho.is_identity and commutes(rho, d)
+    if rho.is_identity or not commutes(rho, d):
+        raise VerificationError("isotropy witness failed verification")
     return rho
 
 
@@ -205,7 +208,8 @@ def _iso_row_spaces(a: UniPoly, bs: Sequence[UniPoly], c: Fraction) -> tuple[Aff
             rows.append(row)
             rhs.append(target.coeff(deg))
         space = QMatrix(rows, cols=r + nz).solve_affine(rhs)
-        assert space is not None, "isotropy row system is always consistent"
+        if space is None:
+            raise VerificationError("isotropy row system is inconsistent")
         spaces.append(space)
     return tuple(spaces)
 
@@ -257,7 +261,6 @@ def sample_isotropy_element(
     r = desc.arity
     block = Derivation(r, (Block(desc.a, desc.bs, tuple(range(1, r + 1))),))
     if desc.case is IsotropyCase.A_ZERO:
-        assert desc.h is not None
         shift = Fraction(rng.randint(-2, 2))
         f = MultiPoly.x(r) + MultiPoly.const(r, shift)
         images = []
@@ -268,7 +271,8 @@ def sample_isotropy_element(
             wbar = MultiPoly.y(r, t) - ht.lift(r)
             images.append(ht.compose(f) + wbar * scale + MultiPoly.const(r, offset))
         rho = PolyEndo(f, tuple(images))
-        assert commutes(rho, block)
+        if not commutes(rho, block):
+            raise VerificationError("sampled isotropy member does not commute")
         return rho
     for _ in range(attempts):
         c = Fraction(0) if desc.shift_forced_zero else Fraction(rng.randint(-3, 3))
@@ -283,7 +287,8 @@ def sample_isotropy_element(
         candidate = AffineEndo(c, matrix, tuple(gs))
         if not affine_is_automorphism(candidate):
             continue
-        assert commutes(affine_to_endo(candidate), block)
+        if not commutes(affine_to_endo(candidate), block):
+            raise VerificationError("sampled isotropy member does not commute")
         return candidate
     return None
 
@@ -366,37 +371,112 @@ def preimage_bounded(
     """Solve D(f) = target for f supported on the monomial box
     {x^i y^alpha : i <= max_x_deg, |alpha| <= max_y_total_deg}.
 
-    A returned f satisfies the equation exactly; None only means no preimage
-    exists within the box."""
+    The solve is graded by y-monomial.  Write f = sum_gamma z_gamma(x) y^gamma.
+    D maps z y^gamma to (z' + A_gamma z) y^gamma plus terms of lower y-degree,
+    where A_gamma = sum_j gamma_j a_j, so the coefficient of y^gamma in
+    D(f) = g reads
+
+        z_gamma' + A_gamma z_gamma = g_gamma - sum_j (gamma_j + 1) b_j z_{gamma+e_j}.
+
+    The levels are solved from the top y-degree down by reduce_linear_ode,
+    each leaving a remainder that must vanish.  A level with gamma != 0 and
+    A_gamma = 0, which exists exactly when the a_j have a nonzero dependence
+    over N, adds a free constant t_gamma, so every z_gamma is carried as an
+    affine function of the t's.  All remainders and all coefficients of
+    x-degree above max_x_deg form one small linear system in the t's, whose
+    particular solution gives f.  Without such a dependence there are no t's,
+    and the first nonzero remainder or coefficient means no preimage.
+
+    A returned f lies in the box and satisfies the equation exactly, or
+    VerificationError is raised; None only means no preimage exists within
+    the box.
+    """
     n = d.arity
     if target.arity != n:
         raise ValueError("arity mismatch")
     if max_x_deg < 0 or max_y_total_deg < 0:
         raise ValueError("bounds must be nonnegative")
-    box = sorted(
-        (xe, *ye)
-        for ye in _y_exponents(n, max_y_total_deg)
-        for xe in range(max_x_deg + 1)
-    )
-    images = [apply_derivation(d, MultiPoly(n, {exps: 1})) for exps in box]
-    row_keys = sorted(set(target.terms()) | {m for im in images for m in im.terms()})
-    index = {key: i for i, key in enumerate(row_keys)}
-    rows = [[Fraction(0)] * len(box) for _ in row_keys]
-    for col, im in enumerate(images):
-        for mono, val in im.terms().items():
-            rows[index[mono]][col] = val
-    rhs = [target.coeff(key) for key in row_keys]
-    space = QMatrix(rows, cols=len(box)).solve_affine(rhs)
-    if space is None:
+    goal: dict[tuple[int, ...], dict[int, Rational]] = {}
+    for (xe, *ye), v in target.terms().items():
+        goal.setdefault(tuple(ye), {})[xe] = v
+    if any(sum(ye) > max_y_total_deg for ye in goal):
         return None
-    f = MultiPoly(n, {exps: v for exps, v in zip(box, space.particular) if v})
-    assert apply_derivation(d, f) == target
+    pairs = d.coeff_pairs()
+    # z[gamma][0] + sum_k t_k z[gamma][k]; one list entry per free constant
+    z: dict[tuple[int, ...], list[UniPoly]] = {}
+    # rows [constant, coefficient of t_1, ...] whose affine value must vanish
+    conditions: list[list[Rational]] = []
+    num_t = 0
+    for total in range(max_y_total_deg, -1, -1):
+        for gamma in _y_levels(n, total):
+            rhs = [UniPoly(goal.get(gamma, {}))] + [UniPoly.zero()] * num_t
+            a_gamma = UniPoly.zero()
+            for j, (a, b) in enumerate(pairs):
+                if gamma[j]:
+                    a_gamma = a_gamma + a * gamma[j]
+                upper = z.get(gamma[:j] + (gamma[j] + 1,) + gamma[j + 1 :])
+                if upper is not None and not b.is_zero:
+                    scale = b * (gamma[j] + 1)
+                    for k, part in enumerate(upper):
+                        rhs[k] = rhs[k] - scale * part
+            reduced = [reduce_linear_ode(a_gamma, c) for c in rhs]
+            level = [zk for zk, _ in reduced]
+            if total and a_gamma.is_zero:
+                num_t += 1
+                level.append(UniPoly.one())
+            remainders = [rk for _, rk in reduced]
+            if not (
+                _add_conditions(remainders, 0, conditions)
+                and _add_conditions(level, max_x_deg + 1, conditions)
+            ):
+                return None
+            z[gamma] = level
+    t = [Fraction(0)] * num_t
+    if conditions:
+        rows = [row[1:] + [Fraction(0)] * (num_t + 1 - len(row)) for row in conditions]
+        space = QMatrix(rows, cols=num_t).solve_affine([-row[0] for row in conditions])
+        if space is None:
+            return None
+        t = list(space.particular)
+    terms: dict[tuple[int, ...], Rational] = {}
+    for gamma, level in z.items():
+        zg = level[0]
+        for tk, part in zip(t, level[1:]):
+            if tk:
+                zg = zg + part * tk
+        for xe, v in zg.items():
+            terms[(xe, *gamma)] = v
+    f = MultiPoly(n, terms)
+    if f.degree_x > max_x_deg or apply_derivation(d, f) != target:
+        raise VerificationError("preimage failed the exact check D(f) = target within the box")
     return f
 
 
-def _y_exponents(n: int, total: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in itertools.product(range(total + 1), repeat=n):
-        if sum(combo) <= total:
-            out.append(combo)
-    return out
+def _add_conditions(parts: list[UniPoly], from_deg: int, out: list[list[Rational]]) -> bool:
+    """Append the conditions that every coefficient of x-degree >= from_deg of
+    the affine polynomial parts[0] + sum_k t_k parts[k] vanishes; False if
+    one of them can never hold."""
+    degrees = sorted({e for p in parts for e, _ in p.items() if e >= from_deg})
+    for e in degrees:
+        row = [p.coeff(e) for p in parts]
+        if not any(row[1:]):
+            if row[0]:
+                return False
+            continue
+        out.append(row)
+    return True
+
+
+def _y_levels(n: int, total: int):
+    """Every gamma in N^n with |gamma| = total, by stars and bars."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for bars in itertools.combinations(range(total + n - 1), n - 1):
+        prev = -1
+        gamma = []
+        for bar in bars + (total + n - 1,):
+            gamma.append(bar - prev - 1)
+            prev = bar
+        yield tuple(gamma)

@@ -4,8 +4,10 @@ Every subcommand reads one derivation (inline ``--deriv``, a file path, or
 ``-`` for stdin) and prints a human-readable report, or a single JSON object
 with ``--json``.  Printed witnesses are always re-verified first.
 
-Exit codes: 0 success, 2 parse error, 3 semantic error; with
-``--exit-status`` a boolean verdict maps true -> 0, false -> 1.
+Exit codes: 0 success, 2 parse error, 3 semantic error, 4 verification
+failure (a computed witness, sample or preimage failed its exact check, which
+is a defect of the library, not of the input); with ``--exit-status`` a
+boolean verdict maps true -> 0, false -> 1.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .analysis import (
 )
 from .derivations import Derivation, apply_derivation
 from .endos import AffineEndo, affine_to_endo, commutes, endo_to_affine, affine_is_automorphism
+from .linalg import VerificationError
 from .textio import ParseError, SemanticError, format_endo, parse_derivation, parse_endo, parse_poly
 
 
@@ -99,7 +102,7 @@ def _verify_endo(rho, d) -> None:
     affine = endo_to_affine(rho)
     invertible = affine is None or affine_is_automorphism(affine)
     if not (commutes(rho, d) and invertible):
-        raise RuntimeError("refusing to print an unverified witness")
+        raise VerificationError("refusing to print an unverified witness")
 
 
 def _cmd_simple(args, out):
@@ -270,6 +273,9 @@ def run(argv: list[str], out=None, err=None) -> int:
     except (SemanticError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 3
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=err)
+        return 4
     if args.json:
         print(json.dumps(payload), file=out)
     else:

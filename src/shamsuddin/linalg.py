@@ -19,6 +19,14 @@ from .polynomials import Rational, Scalar, as_rational
 Vector = tuple[Rational, ...]
 
 
+class VerificationError(RuntimeError):
+    """A computed result failed its exact check.
+
+    Raised in place of returning an unverified witness, sample or preimage;
+    it signals a defect in the library, never bad input.
+    """
+
+
 @dataclass(frozen=True)
 class AffineSpace:
     """Solution set {particular + span(basis)} of an affine linear system."""
@@ -354,6 +362,6 @@ def nonneg_kernel_witness(matrix: QMatrix) -> tuple[int, ...] | None:
     ints = [int(g * m) for g in gamma]
     g0 = gcd(*ints)
     witness = tuple(v // g0 for v in ints)
-    assert all(v >= 0 for v in witness) and any(witness)
-    assert not any(matrix.matvec(witness))
+    if not (all(v >= 0 for v in witness) and any(witness)) or any(matrix.matvec(witness)):
+        raise VerificationError(f"nonnegative kernel witness {witness} failed its check")
     return witness

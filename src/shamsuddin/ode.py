@@ -1,11 +1,11 @@
 """Polynomial solvability of first-order linear ODEs z' = a(x) z + c(x).
 
-Everything is decided exactly by finite linear algebra: a leading-coefficient
-comparison gives a sharp upper bound on the degree of any polynomial solution,
-and the ODE becomes a linear system over the unknown coefficients.  The
-parametric variant z' = a z + sum_j k_j b_j treats the weights k_j and the
-coefficients of z as one joint homogeneous system, so the admissible k form
-the projection of a single exactly-computed solution space.
+Everything is decided exactly.  A single ODE is reduced by a top-down
+recurrence on the coefficients of z, with no matrix.  The parametric variant
+z' = a z + sum_j k_j b_j uses a leading-coefficient comparison for a sharp
+upper bound on the degree of any polynomial solution, and treats the weights
+k_j and the coefficients of z as one joint homogeneous linear system, so the
+admissible k form the projection of a single exactly-computed solution space.
 """
 
 from __future__ import annotations
@@ -104,25 +104,47 @@ def _ode_rows(a: UniPoly, num_k: int, bs: Sequence[UniPoly], z_bound: int | None
     return rows, num_k + nz
 
 
+def reduce_linear_ode(a: UniPoly, c: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Write c = z' + a z + r with deg r < deg a, by a matrix-free recurrence.
+
+    For a != 0 the map z -> z' + a z raises the degree by exactly deg a, so
+    its image meets the polynomials of degree < deg a only in 0: z and r are
+    unique, and c lies in the image iff r = 0.  Each step cancels the top
+    remaining coefficient at x^(k + deg a) with the term z_k x^k, working
+    down from the top.  For a = 0, z is the antiderivative of c with zero
+    constant term and r = 0.
+    """
+    if a.is_zero:
+        return c.integral(), UniPoly.zero()
+    d = int(a.degree)
+    lead = a.leading_coeff()
+    a_terms = a.items()
+    rem = list(c.coeff_vector(int(c.degree))) if not c.is_zero else []
+    z: dict[int, Rational] = {}
+    for k in range(len(rem) - 1 - d, -1, -1):
+        q = rem[k + d]
+        if not q:
+            continue
+        q /= lead
+        z[k] = q
+        for i, ai in a_terms:
+            rem[k + i] -= q * ai
+        if k:
+            rem[k - 1] -= k * q
+    return UniPoly(z), UniPoly(enumerate(rem[:d]))
+
+
 def solve_linear_ode(a: UniPoly, c: UniPoly) -> OdeSolutions:
     """All polynomial solutions of z' = a(x) z + c(x).
 
     a = 0: antiderivative of c (zero constant term) plus the constants.
-    a != 0: at most one solution, found by solving the bounded linear system.
+    a != 0: at most one solution; reduce c against z' - a z and accept iff
+    the remainder vanishes.
     """
     if a.is_zero:
         return OdeSolutions(c.integral(), 1)
-    bound = degree_bound(a, [c])
-    if bound is None:
-        return OdeSolutions(UniPoly.zero() if c.is_zero else None, 0)
-    rows, _ = _ode_rows(a, 1, [c], bound)
-    matrix = QMatrix([r[1:] for r in rows], cols=bound + 1)
-    rhs = [-r[0] for r in rows]  # k_1 column held at k = 1
-    space = matrix.solve_affine(rhs)
-    if space is None:
-        return OdeSolutions(None, 0)
-    assert not space.basis, "a != 0 admits no homogeneous polynomial solutions"
-    return OdeSolutions(UniPoly(enumerate(space.particular)), 0)
+    z, r = reduce_linear_ode(-a, c)
+    return OdeSolutions(z if r.is_zero else None, 0)
 
 
 def solve_parametric(a: UniPoly, bs: Sequence[UniPoly]) -> ParamSolutionSpace:

@@ -50,6 +50,10 @@ _SKIP = re.compile(r"[ \t\r\n]*")
 # library API itself has no degree limit
 MAX_EXPONENT = 256
 
+# parenthesis nesting limit: the parser recurses once per level, so deeper
+# input would exhaust the interpreter stack
+MAX_DEPTH = 100
+
 
 class _Tokens:
     def __init__(self, text: str, offset: int = 0):
@@ -68,6 +72,7 @@ class _Tokens:
             i = m.end()
         self.toks.append(("", offset + len(text)))  # end marker
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.toks[self.i][0]
@@ -112,8 +117,12 @@ def _parse_base(ts: _Tokens, arity: int) -> MultiPoly:
             return MultiPoly.const(arity, Rational(num, den))
         return MultiPoly.const(arity, num)
     if got == "(":
+        if ts.depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than the parser limit {MAX_DEPTH}", pos)
+        ts.depth += 1
         inner = _parse_poly(ts, arity)
         ts.expect(")")
+        ts.depth -= 1
         return inner
     if got == "x":
         return MultiPoly.x(arity)

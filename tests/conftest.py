@@ -15,6 +15,7 @@ from shamsuddin import (
     QMatrix,
     TriangularDerivation,
     UniPoly,
+    apply_derivation,
     degree_bound,
     mat_solve_affine,
     normalize,
@@ -160,6 +161,26 @@ def brute_param_nullspace(a: UniPoly, bs, extra: int = 5):
     cap = (bound if bound is not None else -1) + extra
     rows = ode_rows_oracle(a, bs, cap)
     return QMatrix(rows, cols=len(bs) + cap + 1).nullspace(), cap
+
+
+def dense_preimage_oracle(d: Derivation, target: MultiPoly, max_x_deg: int, max_y_total_deg: int):
+    """Preimage of target under d supported on the box, or None, by one dense
+    system with a column per box monomial (the original box solver)."""
+    n = d.arity
+    y_exps = [e for e in itertools.product(range(max_y_total_deg + 1), repeat=n) if sum(e) <= max_y_total_deg]
+    box = sorted((xe, *ye) for ye in y_exps for xe in range(max_x_deg + 1))
+    images = [apply_derivation(d, MultiPoly(n, {exps: 1})) for exps in box]
+    row_keys = sorted(set(target.terms()) | {m for im in images for m in im.terms()})
+    index = {key: i for i, key in enumerate(row_keys)}
+    rows = [[Fraction(0)] * len(box) for _ in row_keys]
+    for col, im in enumerate(images):
+        for mono, val in im.terms().items():
+            rows[index[mono]][col] = val
+    rhs = [target.coeff(key) for key in row_keys]
+    space = mat_solve_affine(QMatrix(rows, cols=len(box)), rhs)
+    if space is None:
+        return None
+    return MultiPoly(n, {exps: v for exps, v in zip(box, space.particular) if v})
 
 
 def exhaustive_nonneg_kernel(matrix: QMatrix, max_entry: int = 5):

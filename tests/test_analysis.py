@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import derivations, rand_triangular, unipolys
+import shamsuddin
+from conftest import dense_preimage_oracle, derivations, multipolys, rand_triangular, unipolys
+from shamsuddin import analysis
 from shamsuddin import (
     Derivation,
     IsotropyCase,
@@ -13,6 +19,7 @@ from shamsuddin import (
     PolyEndo,
     TriangularDerivation,
     UniPoly,
+    VerificationError,
     affine_is_automorphism,
     affine_to_endo,
     apply_derivation,
@@ -337,8 +344,6 @@ def test_preimage_examples():
 @settings(max_examples=30, deadline=None)
 @given(derivations(max_arity=2, max_deg=2), st.data())
 def test_preimage_soundness_on_constructed_targets(d, data):
-    from conftest import multipolys
-
     f = data.draw(multipolys(arity=d.arity, max_deg=2, max_terms=3))
     g = apply_derivation(d, f)
     mx = int(max(3, f.degree_x if not f.is_zero else 0)) + 3
@@ -351,3 +356,107 @@ def test_preimage_soundness_on_constructed_targets(d, data):
 def test_preimage_bound_validation():
     with pytest.raises(ValueError):
         preimage_bounded(Derivation(0, ()), MultiPoly.one(0), -1, 0)
+
+
+def _check_against_dense(d, g, mx, my):
+    """The graded solver agrees with the dense box solve; returns found."""
+    got = preimage_bounded(d, g, mx, my)
+    want = dense_preimage_oracle(d, g, mx, my)
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    assert apply_derivation(d, got) == g
+    assert all(e[0] <= mx and sum(e[1:]) <= my for e in got.terms())
+    if nat_dependence_witness([a for a, _ in d.coeff_pairs()]) is None:
+        assert got == want
+    return True
+
+
+def _in_box(f, mx, my):
+    return MultiPoly(f.arity, {e: v for e, v in f.terms().items() if e[0] <= mx and sum(e[1:]) <= my})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    derivations(max_arity=3, max_deg=2),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.booleans(),
+    st.data(),
+)
+def test_graded_preimage_matches_dense_oracle(d, mx, my, planted, data):
+    f0 = data.draw(multipolys(arity=d.arity, max_deg=3, max_terms=4))
+    g = apply_derivation(d, _in_box(f0, mx, my)) if planted else f0
+    found = _check_against_dense(d, g, mx, my)
+    assert found or not planted
+
+
+_DEPENDENT_CASES = [
+    [(X, ONE), (-X, X)],  # a2 = -a1
+    [(X + 1, X), (-2 * (X + 1), ONE)],  # a2 = -2*a1
+    [(X, ONE), (-X, ZERO), (X**2 + 1, X)],  # a third, independent block; b2 = 0
+    [(X, ZERO), (-2 * X, ZERO)],  # every b_j = 0
+    [(X, X), (-X, ONE), (X, ZERO)],  # a2 = -a1 with a shared block
+    [(ZERO, ONE), (X, ONE)],  # a1 = 0 is a dependence by itself
+]
+
+
+def _y_exps(n, my):
+    out = [()]
+    for _ in range(n):
+        out = [e + (k,) for e in out for k in range(my + 1)]
+    return [e for e in out if sum(e) <= my]
+
+
+@pytest.mark.parametrize("pairs", _DEPENDENT_CASES)
+def test_graded_preimage_dependent_cases(pairs):
+    d = normalize(pairs)
+    n = d.arity
+    assert nat_dependence_witness([a for a, _ in d.coeff_pairs()]) is not None
+    rng = random.Random(n)
+    found = 0
+    for mx in range(3):
+        for my in range(1, 3):
+            box = [(xe, *ye) for xe in range(mx + 1) for ye in _y_exps(n, my)]
+            for _ in range(4):
+                f0 = MultiPoly(n, {e: rng.randint(-3, 3) for e in rng.sample(box, min(3, len(box)))})
+                found += _check_against_dense(d, apply_derivation(d, f0), mx, my)
+                g = MultiPoly(n, {e: rng.randint(-2, 2) for e in rng.sample(box, min(2, len(box)))})
+                _check_against_dense(d, g, mx, my)
+    assert found == 2 * 3 * 4
+
+
+def test_graded_preimage_dependent_kernel():
+    # a2 = -a1 puts y1*y2 in the kernel: the t of level (1, 1) is free
+    d = normalize([(X, ONE), (-X, X)])
+    g = apply_derivation(d, MultiPoly(2, {(0, 1, 1): 1}))
+    assert _check_against_dense(d, g, 2, 2)
+    assert not _check_against_dense(d, MultiPoly(2, {(0, 1, 1): 1}), 3, 2)
+
+
+def test_preimage_check_raises_verification_error(monkeypatch):
+    d = normalize([(ONE, ONE)])
+    monkeypatch.setattr(analysis, "apply_derivation", lambda d, f: MultiPoly.zero(d.arity))
+    with pytest.raises(VerificationError):
+        preimage_bounded(d, MultiPoly.y(1, 1), 8, 4)
+
+
+def test_preimage_check_survives_optimize_flag():
+    code = (
+        "from shamsuddin import MultiPoly, UniPoly, VerificationError, analysis, normalize\n"
+        "analysis.apply_derivation = lambda d, f: MultiPoly.zero(d.arity)\n"
+        "d = normalize([(UniPoly.one(), UniPoly.one())])\n"
+        "try:\n"
+        "    analysis.preimage_bounded(d, MultiPoly.y(1, 1), 8, 4)\n"
+        "except VerificationError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(shamsuddin.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "raised", proc.stderr

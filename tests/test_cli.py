@@ -1,6 +1,7 @@
 import io
 import json
 
+from shamsuddin import MultiPoly, analysis, cli
 from shamsuddin.cli import run
 
 
@@ -144,3 +145,20 @@ def test_commute_endo_from_file(tmp_path):
 def test_missing_file_is_semantic_error():
     code, _, err = _run(["simple", "/no/such/file.txt"])
     assert code == 3
+
+
+def test_deeply_nested_input_is_parse_error():
+    code, _, err = _run(["apply", "--deriv", SIMPLE, "--poly", "(" * 3000 + "x" + ")" * 3000])
+    assert code == 2 and "nested deeper" in err
+
+
+def test_failed_preimage_check_exits_4(monkeypatch):
+    monkeypatch.setattr(analysis, "apply_derivation", lambda d, f: MultiPoly.zero(d.arity))
+    code, out, err = _run(["preimage", "--deriv", "y1: a=1, b=1", "--target", "y1"])
+    assert code == 4 and out == "" and "verification failed" in err
+
+
+def test_unverified_witness_exits_4(monkeypatch):
+    monkeypatch.setattr(cli, "commutes", lambda rho, d: False)
+    code, out, err = _run(["isotropy", "--deriv", NONSIMPLE, "--witness"])
+    assert code == 4 and out == "" and "unverified witness" in err

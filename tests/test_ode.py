@@ -9,6 +9,7 @@ from shamsuddin import (
     UniPoly,
     degree_bound,
     has_nonzero_k_solution,
+    reduce_linear_ode,
     rref_rows,
     solve_linear_ode,
     solve_parametric,
@@ -164,3 +165,19 @@ def test_nonzero_k_solution_is_normalized_and_valid(a, bs):
 def test_solve_parametric_needs_bs():
     with pytest.raises(ValueError):
         solve_parametric(X, [])
+
+
+@given(unipolys(3), unipolys(6))
+def test_reduce_linear_ode_decomposition(a, c):
+    z, r = reduce_linear_ode(a, c)
+    assert c == z.derivative() + a * z + r
+    assert r.is_zero or r.degree < a.degree
+    if a.is_zero:
+        assert z.coeff(0) == 0
+
+
+def test_reduce_linear_ode_examples():
+    assert reduce_linear_ode(X, X**2 + 1) == (X, ZERO)  # (x)' + x*x = x^2 + 1
+    assert reduce_linear_ode(X**2, X + 3) == (ZERO, X + 3)
+    assert reduce_linear_ode(ZERO, X) == (X**2 * Fraction(1, 2), ZERO)
+    assert reduce_linear_ode(UniPoly.constant(2), X) == (X * Fraction(1, 2) - Fraction(1, 4), ZERO)

@@ -1,0 +1,23 @@
+"""Static guards over the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import shamsuddin
+
+SOURCES = sorted(Path(shamsuddin.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, so every check in the package must
+    # raise explicitly (VerificationError for failed result checks)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"analysis.py", "linalg.py", "ode.py", "cli.py"}

@@ -21,6 +21,7 @@ from shamsuddin import (
     parse_endo,
     parse_poly,
 )
+from shamsuddin.textio import MAX_DEPTH
 
 X = UniPoly.x()
 ONE = UniPoly.one()
@@ -55,6 +56,16 @@ def test_parse_errors_are_positioned():
         parse_poly("x^-1", 0)
     with pytest.raises(ParseError):
         parse_poly("", 0)
+
+
+def test_parse_nesting_depth_limit():
+    assert parse_poly("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 1) == MultiPoly.x(1)
+    text = "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1)
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, 1)
+    assert info.value.pos == MAX_DEPTH
+    with pytest.raises(ParseError):
+        parse_poly("(" * 3000 + "x" + ")" * 3000, 1)
 
 
 def test_parse_derivation_examples():
