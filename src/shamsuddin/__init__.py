@@ -47,7 +47,6 @@ from .linalg import (
     AffineSpace,
     QMatrix,
     VerificationError,
-    mat_solve_affine,
     nonneg_kernel_witness,
     rref_rows,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "isotropy_describe_block",
     "isotropy_is_trivial",
     "isotropy_witness",
-    "mat_solve_affine",
     "mz_classify",
     "nat_dependence_witness",
     "nonneg_kernel_witness",

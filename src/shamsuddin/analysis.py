@@ -21,7 +21,13 @@ from typing import Sequence
 from .derivations import Block, Derivation, TriangularDerivation, apply_derivation
 from .endos import AffineEndo, PolyEndo, affine_is_automorphism, affine_to_endo, commutes
 from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
-from .ode import degree_bound, has_nonzero_k_solution, reduce_linear_ode, solve_parametric
+from .ode import (
+    degree_bound,
+    has_nonzero_k_solution,
+    parametric_spaces,
+    reduce_linear_ode,
+    solve_parametric,
+)
 from .polynomials import MultiPoly, Rational, UniPoly
 
 #: solution pair of the parametric ODE: weights k and the polynomial z
@@ -184,34 +190,10 @@ def _iso_row_spaces(a: UniPoly, bs: Sequence[UniPoly], c: Fraction) -> tuple[Aff
     Unknowns are (C[t][1..r], g_0..g_B) with B the exact degree bound; each
     row is consistent (the identity row solves it at c = 0, integration or the
     invertible constant-coefficient system settle the other cases)."""
-    r = len(bs)
-    bound = degree_bound(a, list(bs))
-    nz = 0 if bound is None else bound + 1
-    deg_a = int(a.degree) if not a.is_zero else 0
-    top = max(
-        [nz - 1 + deg_a if nz else 0]
-        + [int(b.degree) for b in bs if not b.is_zero]
-    )
-    spaces = []
-    for t in range(r):
-        target = bs[t].shift(c)
-        rows, rhs = [], []
-        for deg in range(top + 1):
-            row = [b.coeff(deg) for b in bs]
-            for i in range(nz):
-                coeff = Fraction(0)
-                if i == deg + 1:
-                    coeff += i
-                if deg >= i:
-                    coeff -= a.coeff(deg - i)
-                row.append(coeff)
-            rows.append(row)
-            rhs.append(target.coeff(deg))
-        space = QMatrix(rows, cols=r + nz).solve_affine(rhs)
-        if space is None:
-            raise VerificationError("isotropy row system is inconsistent")
-        spaces.append(space)
-    return tuple(spaces)
+    spaces = parametric_spaces(a, [-b for b in bs], [b.shift(c) for b in bs])
+    if any(space is None for space in spaces):
+        raise VerificationError("isotropy row system is inconsistent")
+    return spaces
 
 
 def isotropy_describe_block(a: UniPoly, bs: Sequence[UniPoly]) -> IsotropyDescription:

@@ -105,7 +105,7 @@ def _verify_endo(rho, d) -> None:
         raise VerificationError("refusing to print an unverified witness")
 
 
-def _cmd_simple(args, out):
+def _cmd_simple(args):
     d = _require_shamsuddin(_read_derivation(args))
     verdict = is_simple(d)
     lines = [f"simple: {_bool(verdict.simple)}"]
@@ -132,7 +132,7 @@ def _cmd_simple(args, out):
     return lines, payload, verdict.simple
 
 
-def _cmd_isotropy(args, out):
+def _cmd_isotropy(args):
     d = _require_shamsuddin(_read_derivation(args))
     trivial = isotropy_is_trivial(d)
     lines = [f"trivial: {_bool(trivial)}"]
@@ -149,7 +149,7 @@ def _cmd_isotropy(args, out):
     return lines, payload, trivial
 
 
-def _cmd_describe(args, out):
+def _cmd_describe(args):
     d = _require_shamsuddin(_read_derivation(args))
     if len(d.blocks) != 1:
         raise SemanticError("describe needs a single-block derivation (one shared a)")
@@ -187,7 +187,7 @@ def _cmd_describe(args, out):
     return lines, payload, None
 
 
-def _cmd_locally_finite(args, out):
+def _cmd_locally_finite(args):
     d = _read_derivation(args)
     tri = d.to_triangular() if isinstance(d, Derivation) else d
     lf = is_locally_finite(tri)
@@ -198,7 +198,7 @@ def _cmd_locally_finite(args, out):
     )
 
 
-def _cmd_mz(args, out):
+def _cmd_mz(args):
     d = _require_shamsuddin(_read_derivation(args))
     verdict = mz_classify(d)
     lines = [f"mz: {verdict.tag.value} ({verdict.reason})"]
@@ -213,7 +213,7 @@ def _cmd_mz(args, out):
     return lines, payload, verdict.tag is MzTag.IS_MZ
 
 
-def _cmd_preimage(args, out):
+def _cmd_preimage(args):
     d = _require_shamsuddin(_read_derivation(args))
     target = parse_poly(args.target, d.arity)
     f = preimage_bounded(d, target, args.max_x_deg, args.max_y_deg)
@@ -227,14 +227,14 @@ def _cmd_preimage(args, out):
     return lines, payload, f is not None
 
 
-def _cmd_apply(args, out):
+def _cmd_apply(args):
     d = _read_derivation(args)
     poly = parse_poly(args.poly, d.arity)
     result = apply_derivation(d, poly)
     return [f"result: {result}"], {"command": "apply", "result": str(result)}, None
 
 
-def _cmd_commute(args, out):
+def _cmd_commute(args):
     d = _read_derivation(args)
     text = args.endo
     if os.path.exists(text):
@@ -266,7 +266,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        lines, payload, verdict = _COMMANDS[args.command](args, out)
+        lines, payload, verdict = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
         return 2

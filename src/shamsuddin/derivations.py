@@ -57,12 +57,6 @@ class Derivation:
                 out[j] = (blk.a, b)
         return [out[j] for j in range(1, self.arity + 1)]
 
-    def a_of(self, j: int) -> UniPoly:
-        for blk in self.blocks:
-            if j in blk.var_indices:
-                return blk.a
-        raise ValueError(f"no variable y{j}")
-
     def block_derivation(self, block_index: int) -> "Derivation":
         """The single-block derivation on its own y's, renumbered 1..r."""
         blk = self.blocks[block_index]

@@ -72,10 +72,6 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def entry(self, i: int, j: int) -> Rational:
         return self._e[i][j]
 
@@ -90,20 +86,6 @@ class QMatrix:
             raise ValueError("dimension mismatch")
         vq = [as_rational(x) for x in v]
         return tuple(sum((r[j] * vq[j] for j in range(self.cols)), Fraction(0)) for r in self._e)
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return QMatrix(
-            [
-                [
-                    sum((self._e[i][k] * other._e[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
-        )
 
     def rank(self) -> int:
         _, pivots, _ = _ff_echelon(_int_rows(self._e), self.cols)
@@ -128,46 +110,29 @@ class QMatrix:
     def nullspace(self) -> tuple[Vector, ...]:
         """Basis of {v : A v = 0}, one vector per free column."""
         ech, pivots, _ = _ff_echelon(_int_rows(self._e), self.cols)
-        pivot_cols = {c for _, c in pivots}
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_cols:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[free] = Fraction(1)
-            for r, c in reversed(pivots):
-                s = sum((Fraction(ech[r][j]) * v[j] for j in range(c + 1, self.cols)), Fraction(0))
-                v[c] = -s / ech[r][c]
-            basis.append(tuple(v))
-        return tuple(basis)
+        return _nullspace(ech, pivots, self.cols)
 
     def solve_affine(self, rhs: Sequence[Scalar]) -> AffineSpace | None:
-        """Full solution set of A v = rhs, or None if inconsistent."""
+        """Full solution set of A v = rhs, or None if inconsistent; the
+        particular solution is 0 at every free column."""
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch")
         aug = [list(row) + [as_rational(b)] for row, b in zip(self._e, rhs)]
-        if not aug:
-            return AffineSpace((Fraction(0),) * self.cols, self.nullspace())
         ech, pivots, _ = _ff_echelon(_int_rows(aug), self.cols)
-        for r in range(len(pivots), self.rows):
-            if ech[r][self.cols]:
-                return None
-        v = [Fraction(0)] * self.cols
-        for r, c in reversed(pivots):
-            s = sum((Fraction(ech[r][j]) * v[j] for j in range(c + 1, self.cols)), Fraction(0))
-            v[c] = (Fraction(ech[r][self.cols]) - s) / ech[r][c]
-        return AffineSpace(tuple(v), self.nullspace())
+        if any(ech[r][self.cols] for r in range(len(pivots), self.rows)):
+            return None
+        particular = _back_substitute(ech, pivots, self.cols, rhs=self.cols)
+        return AffineSpace(particular, _nullspace(ech, pivots, self.cols))
 
     def inverse(self) -> "QMatrix | None":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        cols = []
-        for j in range(n):
-            sol = self.solve_affine([1 if i == j else 0 for i in range(n)])
-            if sol is None or sol.basis:
-                return None
-            cols.append(sol.particular)
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._e)]
+        ech, pivots, _ = _ff_echelon(_int_rows(aug), n)
+        if len(pivots) < n:
+            return None
+        cols = [_back_substitute(ech, pivots, n, rhs=n + j) for j in range(n)]
         return QMatrix([[cols[j][i] for j in range(n)] for i in range(n)], cols=n)
 
     def __eq__(self, other: object) -> bool:
@@ -180,11 +145,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({[list(map(str, r)) for r in self._e]})"
-
-
-def mat_solve_affine(matrix: QMatrix, rhs: Sequence[Scalar]) -> AffineSpace | None:
-    """Solution set of matrix * v = rhs as an AffineSpace, or None."""
-    return matrix.solve_affine(rhs)
 
 
 # -- fraction-free elimination core -----------------------------------------
@@ -240,6 +200,27 @@ def _ff_echelon(
     return rows, pivots, swaps
 
 
+def _back_substitute(ech, pivots, cols: int, free: int | None = None, rhs: int | None = None) -> Vector:
+    """The v with v[free] = 1 and 0 at every other free column that solves
+    the echelon rows over their first cols columns, against echelon column
+    rhs (or 0 when rhs is None)."""
+    v = [Fraction(0)] * cols
+    if free is not None:
+        v[free] = Fraction(1)
+    for r, c in reversed(pivots):
+        row = ech[r]
+        s = sum((row[j] * v[j] for j in range(c + 1, cols)), Fraction(0))
+        if rhs is not None:
+            s -= row[rhs]
+        v[c] = -s / row[c]
+    return tuple(v)
+
+
+def _nullspace(ech, pivots, cols: int) -> tuple[Vector, ...]:
+    pivot_cols = {c for _, c in pivots}
+    return tuple(_back_substitute(ech, pivots, cols, free=f) for f in range(cols) if f not in pivot_cols)
+
+
 def rref_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
     """Reduced row echelon form of the given row vectors, zero rows dropped.
 
@@ -266,6 +247,31 @@ def rref_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
         if r == len(rows):
             break
     return tuple(tuple(row) for row in rows[:r])
+
+
+def echelon_affine(
+    vectors: Sequence[Sequence[Scalar]], points: Sequence[Sequence[Scalar]]
+) -> tuple[AffineSpace, ...]:
+    """point + span(vectors) for each point, in the form QMatrix.solve_affine
+    gives for any system with that solution set: one basis vector per free
+    column, with 1 there and 0 at the other free columns, and a particular
+    solution that is 0 at every free column.
+
+    A column is free when some vector of the span has its last nonzero entry
+    there, so the free columns are the pivots of the reduced row echelon form
+    read from the right.
+    """
+    basis = tuple(v[::-1] for v in reversed(rref_rows([v[::-1] for v in vectors])))
+    free = [max(i for i, e in enumerate(v) if e) for v in basis]
+    spaces = []
+    for point in points:
+        p = [as_rational(e) for e in point]
+        for f, v in zip(free, basis):
+            q = p[f]
+            if q:
+                p = [e - q * b for e, b in zip(p, v)]
+        spaces.append(AffineSpace(tuple(p), basis))
+    return tuple(spaces)
 
 
 # -- nonnegative kernel via Fourier-Motzkin ----------------------------------

@@ -1,11 +1,10 @@
 """Polynomial solvability of first-order linear ODEs z' = a(x) z + c(x).
 
-Everything is decided exactly.  A single ODE is reduced by a top-down
-recurrence on the coefficients of z, with no matrix.  The parametric variant
-z' = a z + sum_j k_j b_j uses a leading-coefficient comparison for a sharp
-upper bound on the degree of any polynomial solution, and treats the weights
-k_j and the coefficients of z as one joint homogeneous linear system, so the
-admissible k form the projection of a single exactly-computed solution space.
+Everything is decided exactly, by a top-down recurrence on the coefficients
+of z with no matrix (reduce_linear_ode).  The parametric variant
+z' = a z + sum_j k_j b_j, the polynomial case of the parametric Risch
+equation, reduces each b_j once by that recurrence; what is left is a linear
+system in the k_j alone, with one row per power of x below deg a.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QMatrix, Vector, rref_rows
+from .linalg import AffineSpace, QMatrix, Vector, echelon_affine, rref_rows
 from .polynomials import NEG_INF, Rational, UniPoly
 
 
@@ -75,35 +74,6 @@ def degree_bound(a: UniPoly, cs: Sequence[UniPoly]) -> int | None:
     return int(bound) if bound >= 0 else None
 
 
-def _ode_rows(a: UniPoly, num_k: int, bs: Sequence[UniPoly], z_bound: int | None):
-    """Coefficient rows of z' - a z - sum_j k_j b_j per power of x.
-
-    Columns are (k_1..k_num_k, z_0..z_B).  Returns (rows, number of columns).
-    """
-    nz = 0 if z_bound is None else z_bound + 1
-    deg_a = int(a.degree) if not a.is_zero else 0
-    top = 0
-    if nz:
-        top = max(top, nz - 1 + deg_a if not a.is_zero else nz - 1)
-    for b in bs:
-        if not b.is_zero:
-            top = max(top, int(b.degree))
-    rows = []
-    for d in range(top + 1):
-        row = [Fraction(0)] * (num_k + nz)
-        for j, b in enumerate(bs):
-            row[j] = -b.coeff(d)
-        for i in range(nz):
-            coeff = Fraction(0)
-            if i == d + 1:
-                coeff += i  # from z'
-            coeff -= a.coeff(d - i) if d >= i else 0
-            if coeff:
-                row[num_k + i] = row[num_k + i] + coeff
-        rows.append(row)
-    return rows, num_k + nz
-
-
 def reduce_linear_ode(a: UniPoly, c: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Write c = z' + a z + r with deg r < deg a, by a matrix-free recurrence.
 
@@ -147,6 +117,46 @@ def solve_linear_ode(a: UniPoly, c: UniPoly) -> OdeSolutions:
     return OdeSolutions(z if r.is_zero else None, 0)
 
 
+def parametric_spaces(
+    a: UniPoly, bs: Sequence[UniPoly], targets: Sequence[UniPoly]
+) -> tuple[AffineSpace | None, ...]:
+    """Solution sets of z' = a z + sum_j k_j b_j + c, one per target c.
+
+    The unknowns are (k_1..k_r, z_0..z_B) with B = degree_bound(a, bs +
+    targets), which no solution exceeds.  reduce_linear_ode writes
+    b_j = z_j' - a z_j + r_j and c = w' - a w + s with r_j and s of degree
+    below deg a.  So (k, z) is a solution iff sum_j k_j r_j + s = 0 and
+    z - w - sum_j k_j z_j lies in the kernel of z -> z' - a z, which holds
+    the constants when a = 0 and only 0 otherwise.  The one linear system is
+    the remainder matrix R, with deg a rows and r columns.
+
+    Each set comes in the form QMatrix.solve_affine gives (see
+    echelon_affine), or is None when the target admits no solution.
+    """
+    r = len(bs)
+    bound = degree_bound(a, [*bs, *targets])
+    top = -1 if bound is None else bound
+    reduced = [reduce_linear_ode(-a, c) for c in [*bs, *targets]]
+    rem_rows = [[rem.coeff(i) for _, rem in reduced] for i in range(max(a.degree, 0))]
+    matrix = QMatrix([row[:r] for row in rem_rows], cols=r)
+
+    def pair(k: Sequence[Rational], z: UniPoly) -> Vector:
+        for kj, (zj, _) in zip(k, reduced):
+            if kj:
+                z = z + zj * kj
+        return (*k, *z.coeff_vector(top))
+
+    kernel = [pair(k, UniPoly.zero()) for k in matrix.nullspace()]
+    if a.is_zero:
+        kernel.append(pair((Fraction(0),) * r, UniPoly.one()))
+    points = []
+    for t, (w, _) in enumerate(reduced[r:]):
+        space = matrix.solve_affine([-row[r + t] for row in rem_rows])
+        points.append(None if space is None else pair(space.particular, w))
+    spaces = iter(echelon_affine(kernel, [p for p in points if p is not None]))
+    return tuple(None if p is None else next(spaces) for p in points)
+
+
 def solve_parametric(a: UniPoly, bs: Sequence[UniPoly]) -> ParamSolutionSpace:
     """Basis of all pairs (k, z) with z' = a z + sum_j k_j b_j.
 
@@ -156,11 +166,9 @@ def solve_parametric(a: UniPoly, bs: Sequence[UniPoly]) -> ParamSolutionSpace:
     if not bs:
         raise ValueError("need at least one b")
     r = len(bs)
-    bound = degree_bound(a, bs)
-    rows, ncols = _ode_rows(a, r, bs, bound)
-    matrix = QMatrix(rows, cols=ncols) if rows else QMatrix.zeros(0, ncols)
-    pairs = tuple(_split_pair(vec, r) for vec in matrix.nullspace())
-    return ParamSolutionSpace(r, bound, pairs)
+    (space,) = parametric_spaces(a, bs, [UniPoly.zero()])
+    pairs = tuple(_split_pair(vec, r) for vec in space.basis)
+    return ParamSolutionSpace(r, degree_bound(a, bs), pairs)
 
 
 def _split_pair(vec: Vector, r: int) -> tuple[tuple[Rational, ...], UniPoly]:

@@ -17,7 +17,6 @@ from shamsuddin import (
     UniPoly,
     apply_derivation,
     degree_bound,
-    mat_solve_affine,
     normalize,
 )
 from shamsuddin.polynomials import NEG_INF
@@ -149,7 +148,7 @@ def brute_ode_solutions(a: UniPoly, c: UniPoly, extra: int = 6):
     rows = ode_rows_oracle(a, [c], cap)
     matrix = QMatrix([row[1:] for row in rows], cols=cap + 1)
     rhs = [-row[0] for row in rows]
-    space = mat_solve_affine(matrix, rhs)
+    space = matrix.solve_affine(rhs)
     if space is None:
         return None
     return UniPoly(enumerate(space.particular)), len(space.basis)
@@ -161,6 +160,21 @@ def brute_param_nullspace(a: UniPoly, bs, extra: int = 5):
     cap = (bound if bound is not None else -1) + extra
     rows = ode_rows_oracle(a, bs, cap)
     return QMatrix(rows, cols=len(bs) + cap + 1).nullspace(), cap
+
+
+def iso_rows_oracle(a: UniPoly, bs, c):
+    """Row spaces of g' = a g + b_t(x+c) - sum_j C[t][j] b_j over the unknowns
+    (C[t][1..r], g_0..g_B), B = degree_bound(a, bs), each by one dense solve
+    of its coefficient rows (the original isotropy row builder).
+
+    The rows of z' - a z - sum_j k_j (-b_j) are those of g' - a g +
+    sum_j C_j b_j, so row t is that system against the coefficients of
+    b_t(x+c)."""
+    bound = degree_bound(a, list(bs))
+    cap = bound if bound is not None else -1
+    rows = ode_rows_oracle(a, [-b for b in bs], cap)
+    matrix = QMatrix(rows, cols=len(bs) + cap + 1)
+    return tuple(matrix.solve_affine([b.shift(c).coeff(d) for d in range(len(rows))]) for b in bs)
 
 
 def dense_preimage_oracle(d: Derivation, target: MultiPoly, max_x_deg: int, max_y_total_deg: int):
@@ -177,7 +191,7 @@ def dense_preimage_oracle(d: Derivation, target: MultiPoly, max_x_deg: int, max_
         for mono, val in im.terms().items():
             rows[index[mono]][col] = val
     rhs = [target.coeff(key) for key in row_keys]
-    space = mat_solve_affine(QMatrix(rows, cols=len(box)), rhs)
+    space = QMatrix(rows, cols=len(box)).solve_affine(rhs)
     if space is None:
         return None
     return MultiPoly(n, {exps: v for exps, v in zip(box, space.particular) if v})

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shamsuddin
-from conftest import dense_preimage_oracle, derivations, multipolys, rand_triangular, unipolys
+from conftest import (
+    dense_preimage_oracle,
+    derivations,
+    iso_rows_oracle,
+    multipolys,
+    rand_triangular,
+    unipolys,
+)
 from shamsuddin import analysis
 from shamsuddin import (
     Derivation,
@@ -239,6 +246,45 @@ def test_describe_row_spaces_sound_and_complete():
                 assert sol.particular.is_zero or sol.particular.degree <= bound
                 point = tuple(Fraction(v) for v in row) + sol.particular.coeff_vector(bound)
                 assert affine_space_contains(space, point)
+
+
+@st.composite
+def isotropy_blocks(draw):
+    """(a, bs, c): a of any degree (0 and constants included), b's that may
+    vanish or depend linearly on earlier ones, and a shift c, nonzero only
+    where the shift is free."""
+    a = draw(unipolys(3))
+    bs = draw(st.lists(unipolys(5), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        first, second = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        bs.append(bs[0] * first + bs[-1] * second)
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=2)) if a.degree <= 0 else 0
+    return a, bs, c
+
+
+@settings(max_examples=150)
+@given(isotropy_blocks())
+def test_iso_row_spaces_equal_dense_oracle(block):
+    """Same particular solution and same basis as the dense row solve, not
+    only the same span: samples are drawn from these exact vectors."""
+    a, bs, c = block
+    assert isotropy_describe_block(a, bs).row_spaces(c) == iso_rows_oracle(a, bs, c)
+
+
+@pytest.mark.parametrize(
+    "a, bs, c",
+    [
+        (ZERO, [X, ONE], 2),  # a = 0
+        (ZERO, [ZERO, X**2], 0),  # a = 0 with a vanishing b
+        (UniPoly.constant(3), [X**2 + 1, X], -1),  # constant a, shift c != 0
+        (ONE, [X, X * 2, ZERO], 1),  # dependent b's and b_3 = 0
+        (X + 1, [X**3, X**2 - 1, X**3 * 2 - X**2 + 1], 0),  # deg a >= 1, b_3 = 2 b_1 - b_2
+        (X**2, [ONE, X], 0),  # every deg b_j < deg a: g forced to 0
+        (X**2 - X, [X**4, ZERO], 0),  # deg a >= 1 with b_2 = 0
+    ],
+)
+def test_iso_row_spaces_fixed_cases(a, bs, c):
+    assert isotropy_describe_block(a, bs).row_spaces(c) == iso_rows_oracle(a, bs, c)
 
 
 def test_zero_a_family_nonaffine_member_commutes():

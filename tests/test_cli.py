@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import shamsuddin
 from shamsuddin import MultiPoly, analysis, cli
 from shamsuddin.cli import run
 
@@ -162,3 +167,28 @@ def test_unverified_witness_exits_4(monkeypatch):
     monkeypatch.setattr(cli, "commutes", lambda rho, d: False)
     code, out, err = _run(["isotropy", "--deriv", NONSIMPLE, "--witness"])
     assert code == 4 and out == "" and "unverified witness" in err
+
+
+def test_output_is_identical_across_hash_seeds():
+    """The same request prints byte-identical output whatever PYTHONHASHSEED
+    is, so no verdict, witness or sample depends on set or dict hash order."""
+    requests = [
+        ["simple", "--deriv", "y1: a=x, b=1 ; y2: a=1, b=x^2 ; y3: a=1, b=2*x^2+1"],
+        ["isotropy", "--witness", "--deriv", "y1: a=x+1, b=x^3 ; y2: a=x+1, b=x^2-1 ; y3: a=0, b=x"],
+        ["describe", "--seed", "1", "--deriv", "y1: a=2, b=x^2+1 ; y2: a=2, b=x ; y3: a=2, b=0"],
+        ["mz", "--deriv", "y1: a=x, b=0 ; y2: a=-2*x, b=1 ; y3: a=x^2, b=x"],
+    ]
+    src = str(Path(shamsuddin.__file__).parent.parent)
+    for argv in requests:
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "shamsuddin", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv

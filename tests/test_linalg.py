@@ -5,19 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exhaustive_nonneg_kernel, fraction_rref_rank, q_matrices, small_ints
-from shamsuddin import QMatrix, mat_solve_affine, nonneg_kernel_witness, rref_rows
+from shamsuddin import QMatrix, linalg, nonneg_kernel_witness, rref_rows
 
 
 def test_solve_affine_examples():
-    space = mat_solve_affine(QMatrix.identity(2), [1, 2])
+    space = QMatrix.identity(2).solve_affine([1, 2])
     assert space.particular == (1, 2) and space.basis == ()
 
-    space = mat_solve_affine(QMatrix([[1, 1]]), [0])
+    space = QMatrix([[1, 1]]).solve_affine([0])
     assert space is not None and len(space.basis) == 1
     v = space.basis[0]
     assert v[0] + v[1] == 0 and any(v)
 
-    assert mat_solve_affine(QMatrix([[1, 0], [1, 0]]), [1, 2]) is None
+    assert QMatrix([[1, 0], [1, 0]]).solve_affine([1, 2]) is None
 
 
 @given(q_matrices(), st.data())
@@ -70,8 +70,39 @@ def test_det_and_inverse(n, data):
     if det == 0:
         assert inv is None
     else:
-        assert matrix.mul(inv) == QMatrix.identity(n)
-        assert inv.mul(matrix) == QMatrix.identity(n)
+        # column j of A A^-1 is A times column j of A^-1, and likewise for A^-1 A
+        for j in range(n):
+            unit = QMatrix.identity(n).row(j)
+            assert matrix.matvec([inv.entry(i, j) for i in range(n)]) == unit
+            assert inv.matvec([matrix.entry(i, j) for i in range(n)]) == unit
+
+
+def test_each_solve_eliminates_once(monkeypatch):
+    calls = []
+    echelon = linalg._ff_echelon
+
+    def counted(rows, limit_cols):
+        calls.append(limit_cols)
+        return echelon(rows, limit_cols)
+
+    monkeypatch.setattr(linalg, "_ff_echelon", counted)
+    invertible = QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    singular = QMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    wide = QMatrix([[1, 2, 0, 1], [0, 0, 1, 1]])
+    runs = [
+        invertible.nullspace,
+        wide.nullspace,
+        lambda: invertible.solve_affine([1, 2, 3]),
+        lambda: wide.solve_affine([1, 2]),
+        lambda: singular.solve_affine([1, 1, 1]),
+        lambda: QMatrix([], cols=2).solve_affine([]),
+        invertible.inverse,
+        singular.inverse,
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_det_known_values():
