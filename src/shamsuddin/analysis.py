@@ -21,13 +21,7 @@ from typing import Sequence
 from .derivations import Block, Derivation, TriangularDerivation, apply_derivation
 from .endos import AffineEndo, PolyEndo, affine_is_automorphism, affine_to_endo, commutes
 from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
-from .ode import (
-    degree_bound,
-    has_nonzero_k_solution,
-    parametric_spaces,
-    reduce_linear_ode,
-    solve_parametric,
-)
+from .ode import degree_bound, has_nonzero_k_solution, parametric_spaces, reduce_linear_ode
 from .polynomials import MultiPoly, Rational, UniPoly
 
 #: solution pair of the parametric ODE: weights k and the polynomial z
@@ -46,7 +40,7 @@ class SimplicityVerdict:
 
 def is_simple_block(a: UniPoly, bs: Sequence[UniPoly]) -> tuple[bool, Witness | None]:
     """Decide simplicity of one block; a witness (k, z) certifies failure."""
-    found = has_nonzero_k_solution(solve_parametric(a, list(bs)))
+    found = has_nonzero_k_solution(a, bs)
     return (found is None), found
 
 
@@ -200,33 +194,19 @@ def isotropy_describe_block(a: UniPoly, bs: Sequence[UniPoly]) -> IsotropyDescri
     """Structured description of the commuting automorphisms of one block."""
     bs = tuple(bs)
     if a.is_zero:
-        return IsotropyDescription(
-            IsotropyCase.A_ZERO,
-            a,
-            bs,
-            shift_forced_zero=False,
-            h=tuple(b.integral() for b in bs),
-            rows_at_zero=None,
-            g_bound=degree_bound(a, list(bs)),
-        )
-    if a.degree == 0:
-        return IsotropyDescription(
-            IsotropyCase.A_CONST,
-            a,
-            bs,
-            shift_forced_zero=False,
-            h=None,
-            rows_at_zero=None,
-            g_bound=degree_bound(a, list(bs)),
-        )
+        case = IsotropyCase.A_ZERO
+    else:
+        case = IsotropyCase.A_CONST if a.degree == 0 else IsotropyCase.A_DEG_GE_1
     return IsotropyDescription(
-        IsotropyCase.A_DEG_GE_1,
+        case,
         a,
         bs,
-        shift_forced_zero=True,
-        h=None,
-        rows_at_zero=_iso_row_spaces(a, bs, Fraction(0)),
-        g_bound=degree_bound(a, list(bs)),
+        shift_forced_zero=case is IsotropyCase.A_DEG_GE_1,
+        h=tuple(b.integral() for b in bs) if case is IsotropyCase.A_ZERO else None,
+        rows_at_zero=(
+            _iso_row_spaces(a, bs, Fraction(0)) if case is IsotropyCase.A_DEG_GE_1 else None
+        ),
+        g_bound=degree_bound(a, bs),
     )
 
 

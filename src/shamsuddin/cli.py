@@ -134,11 +134,11 @@ def _cmd_simple(args):
 
 def _cmd_isotropy(args):
     d = _require_shamsuddin(_read_derivation(args))
-    trivial = isotropy_is_trivial(d)
+    rho = isotropy_witness(d) if args.witness else None
+    trivial = rho is None if args.witness else isotropy_is_trivial(d)
     lines = [f"trivial: {_bool(trivial)}"]
     payload = {"command": "isotropy", "trivial": trivial, "witness": None}
     if args.witness:
-        rho = isotropy_witness(d)
         if rho is None:
             lines.append("witness: none (isotropy is trivial)")
         else:

@@ -4,7 +4,9 @@ Everything is decided exactly, by a top-down recurrence on the coefficients
 of z with no matrix (reduce_linear_ode).  The parametric variant
 z' = a z + sum_j k_j b_j, the polynomial case of the parametric Risch
 equation, reduces each b_j once by that recurrence; what is left is a linear
-system in the k_j alone, with one row per power of x below deg a.
+system R in the k_j alone, with one row per power of x below deg a.  The
+simplicity witness (has_nonzero_k_solution) is the first reduced row of the
+kernel of R; solve_parametric gives the full solution space.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import AffineSpace, QMatrix, Vector, echelon_affine, rref_rows
+from .linalg import AffineSpace, QMatrix, Vector, VerificationError, echelon_affine, rref_rows
 from .polynomials import NEG_INF, Rational, UniPoly
 
 
@@ -117,6 +119,16 @@ def solve_linear_ode(a: UniPoly, c: UniPoly) -> OdeSolutions:
     return OdeSolutions(z if r.is_zero else None, 0)
 
 
+def _reduce_block(
+    a: UniPoly, cs: Sequence[UniPoly]
+) -> tuple[list[tuple[UniPoly, UniPoly]], list[list[Rational]]]:
+    """Reduce each c against z' - a z: the pairs (z_c, r_c) of
+    reduce_linear_ode(-a, c), and the remainder rows, row i holding the
+    coefficient of x^i in every r_c (deg a rows, none when a is constant)."""
+    reduced = [reduce_linear_ode(-a, c) for c in cs]
+    return reduced, [[rem.coeff(i) for _, rem in reduced] for i in range(max(a.degree, 0))]
+
+
 def parametric_spaces(
     a: UniPoly, bs: Sequence[UniPoly], targets: Sequence[UniPoly]
 ) -> tuple[AffineSpace | None, ...]:
@@ -136,8 +148,7 @@ def parametric_spaces(
     r = len(bs)
     bound = degree_bound(a, [*bs, *targets])
     top = -1 if bound is None else bound
-    reduced = [reduce_linear_ode(-a, c) for c in [*bs, *targets]]
-    rem_rows = [[rem.coeff(i) for _, rem in reduced] for i in range(max(a.degree, 0))]
+    reduced, rem_rows = _reduce_block(a, [*bs, *targets])
     matrix = QMatrix([row[:r] for row in rem_rows], cols=r)
 
     def pair(k: Sequence[Rational], z: UniPoly) -> Vector:
@@ -161,33 +172,38 @@ def solve_parametric(a: UniPoly, bs: Sequence[UniPoly]) -> ParamSolutionSpace:
     """Basis of all pairs (k, z) with z' = a z + sum_j k_j b_j.
 
     The k-projection of this space is exactly the set of admissible weight
-    vectors, which drives the simplicity decision.
+    vectors; has_nonzero_k_solution finds one nonzero k without building it.
     """
     if not bs:
         raise ValueError("need at least one b")
     r = len(bs)
     (space,) = parametric_spaces(a, bs, [UniPoly.zero()])
-    pairs = tuple(_split_pair(vec, r) for vec in space.basis)
+    pairs = tuple((tuple(vec[:r]), UniPoly(enumerate(vec[r:]))) for vec in space.basis)
     return ParamSolutionSpace(r, degree_bound(a, bs), pairs)
 
 
-def _split_pair(vec: Vector, r: int) -> tuple[tuple[Rational, ...], UniPoly]:
-    return tuple(vec[:r]), UniPoly(enumerate(vec[r:]))
-
-
 def has_nonzero_k_solution(
-    space: ParamSolutionSpace,
+    a: UniPoly, bs: Sequence[UniPoly]
 ) -> tuple[tuple[Rational, ...], UniPoly] | None:
-    """A solution pair with k != 0, or None if every solution has k = 0.
+    """A solution pair (k, z) of z' = a z + sum_j k_j b_j with k != 0, or None
+    if every solution has k = 0.
 
-    The space is canonicalized by row reduction with the k-columns first, so
-    the returned pair has its first nonzero k-entry equal to 1 and is stable
-    across runs.
+    The admissible k form the kernel of the remainder matrix R (see
+    parametric_spaces) and each fixes z = sum_j k_j z_j.  k is the first row
+    of the reduced row echelon form of that kernel, so its first nonzero
+    entry is 1 and it is stable across runs.  The pair is checked exactly
+    before it is returned.
     """
-    r = space.num_params
-    nz = space.z_bound + 1 if space.z_bound is not None else 0
-    rows = [list(k) + list(z.coeff_vector(nz - 1) if nz else ()) for k, z in space.basis]
-    for row in rref_rows(rows):
-        if any(row[:r]):
-            return _split_pair(row, r)
-    return None
+    reduced, rem_rows = _reduce_block(a, bs)
+    kernel = QMatrix(rem_rows, cols=len(bs)).nullspace()
+    if not kernel:
+        return None
+    k = rref_rows(kernel)[0]
+    z = rhs = UniPoly.zero()
+    for kj, b, (zj, _) in zip(k, bs, reduced):
+        if kj:
+            z = z + zj * kj
+            rhs = rhs + b * kj
+    if next((kj for kj in k if kj), None) != 1 or z.derivative() != a * z + rhs:
+        raise VerificationError(f"parametric ODE witness k={k}, z={z} failed its check")
+    return k, z

@@ -18,6 +18,8 @@ from shamsuddin import (
     apply_derivation,
     degree_bound,
     normalize,
+    rref_rows,
+    solve_parametric,
 )
 from shamsuddin.polynomials import NEG_INF
 
@@ -162,6 +164,21 @@ def brute_param_nullspace(a: UniPoly, bs, extra: int = 5):
     return QMatrix(rows, cols=len(bs) + cap + 1).nullspace(), cap
 
 
+def rref_witness_oracle(a: UniPoly, bs):
+    """The simplicity witness read off the full solution space: the basis of
+    solve_parametric row reduced with the k columns first, and the first row
+    with k != 0 split into (k, z), or None (the original
+    has_nonzero_k_solution)."""
+    space = solve_parametric(a, bs)
+    r = space.num_params
+    nz = space.z_bound + 1 if space.z_bound is not None else 0
+    rows = [list(k) + list(z.coeff_vector(nz - 1) if nz else ()) for k, z in space.basis]
+    for row in rref_rows(rows):
+        if any(row[:r]):
+            return tuple(row[:r]), UniPoly(enumerate(row[r:]))
+    return None
+
+
 def iso_rows_oracle(a: UniPoly, bs, c):
     """Row spaces of g' = a g + b_t(x+c) - sum_j C[t][j] b_j over the unknowns
     (C[t][1..r], g_0..g_B), B = degree_bound(a, bs), each by one dense solve
@@ -232,8 +249,6 @@ def basic_nonneg_kernel(matrix: QMatrix):
 
 def affine_space_contains(space, point) -> bool:
     """Exact membership test: point - particular must lie in span(basis)."""
-    from shamsuddin import rref_rows
-
     shifted = [p - q for p, q in zip(point, space.particular)]
     if not any(shifted):
         return True

@@ -17,7 +17,7 @@ from conftest import (
     rand_triangular,
     unipolys,
 )
-from shamsuddin import analysis
+from shamsuddin import analysis, linalg, ode
 from shamsuddin import (
     Derivation,
     IsotropyCase,
@@ -70,6 +70,44 @@ def test_zero_a_block_never_simple(b):
     for kj, bj in zip(k, [b]):
         rhs = rhs + bj * kj
     assert z.derivative() == rhs
+
+
+@pytest.mark.parametrize(
+    "a, bs",
+    [
+        (ONE, [X]),
+        (ZERO, [ONE, X**3, X + 1]),
+        (X**2 + 1, [X**40 + X, X**39 - 2, X**38, X**5 + 3]),
+        (X**3 - X, [X**60 + 1, X**59, X**58 - X, X**57, X**56 + X**2, X**55]),
+    ],
+)
+def test_simplicity_eliminates_only_k_columns(monkeypatch, a, bs):
+    """Deciding simplicity row-reduces nothing wider than the r weights k."""
+    widths = []
+    for module in (linalg, ode):
+        original = module.rref_rows
+
+        def recording(vectors, original=original):
+            widths.extend(len(v) for v in vectors)
+            return original(vectors)
+
+        monkeypatch.setattr(module, "rref_rows", recording)
+    simple, _ = is_simple_block(a, bs)
+    assert not simple and widths
+    assert max(widths) <= len(bs)
+
+
+def test_unchecked_simplicity_witness_raises(monkeypatch):
+    original = ode.reduce_linear_ode
+
+    def perturbed(a, c):
+        z, rem = original(a, c)
+        return z + X, rem
+
+    monkeypatch.setattr(ode, "reduce_linear_ode", perturbed)
+    for a, bs in [(ZERO, [ONE]), (ONE, [X]), (X, [ONE, X])]:
+        with pytest.raises(VerificationError):
+            is_simple_block(a, bs)
 
 
 def test_is_simple_examples():

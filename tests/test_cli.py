@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import shamsuddin
-from shamsuddin import MultiPoly, analysis, cli
+from shamsuddin import MultiPoly, UniPoly, analysis, cli, ode
 from shamsuddin.cli import run
 
 
@@ -167,6 +167,29 @@ def test_unverified_witness_exits_4(monkeypatch):
     monkeypatch.setattr(cli, "commutes", lambda rho, d: False)
     code, out, err = _run(["isotropy", "--deriv", NONSIMPLE, "--witness"])
     assert code == 4 and out == "" and "unverified witness" in err
+
+
+def test_unchecked_simplicity_witness_exits_4(monkeypatch):
+    original = ode.reduce_linear_ode
+
+    def perturbed(a, c):
+        z, rem = original(a, c)
+        return z + UniPoly.x(), rem
+
+    monkeypatch.setattr(ode, "reduce_linear_ode", perturbed)
+    code, out, err = _run(["simple", "--deriv", NONSIMPLE])
+    assert code == 4 and out == "" and "verification failed" in err
+
+
+def test_isotropy_witness_decides_simplicity_once(monkeypatch):
+    calls = []
+    original = analysis.is_simple
+    monkeypatch.setattr(analysis, "is_simple", lambda d: calls.append(d) or original(d))
+    for deriv, first in [(NONSIMPLE, "trivial: false"), (SIMPLE, "trivial: true")]:
+        calls.clear()
+        code, out, _ = _run(["isotropy", "--deriv", deriv, "--witness"])
+        assert code == 0 and out.splitlines()[0] == first
+        assert len(calls) == 1
 
 
 def test_output_is_identical_across_hash_seeds():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_ode_solutions, brute_param_nullspace, unipolys
+from conftest import brute_ode_solutions, brute_param_nullspace, rationals, rref_witness_oracle, unipolys
 from shamsuddin import (
     UniPoly,
     degree_bound,
@@ -142,24 +142,52 @@ def test_low_degree_independent_bs_force_trivial_space():
 
 
 def test_has_nonzero_k_examples():
-    assert has_nonzero_k_solution(solve_parametric(X, [ONE])) is None
+    assert has_nonzero_k_solution(X, [ONE]) is None
 
-    found = has_nonzero_k_solution(solve_parametric(ONE, [X]))
+    found = has_nonzero_k_solution(ONE, [X])
     assert found is not None and found[0] == (1,) and found[1] == -X - 1
 
-    found = has_nonzero_k_solution(solve_parametric(ZERO, [ONE]))
+    found = has_nonzero_k_solution(ZERO, [ONE])
     assert found is not None and found[0] == (1,) and found[1] == X
 
 
 @given(unipolys(3), st.lists(unipolys(3), min_size=1, max_size=3))
 def test_nonzero_k_solution_is_normalized_and_valid(a, bs):
-    found = has_nonzero_k_solution(solve_parametric(a, bs))
+    found = has_nonzero_k_solution(a, bs)
     if found is None:
         return
     k, z = found
     lead = next(v for v in k if v)
     assert lead == 1
     assert _satisfies(a, bs, k, z)
+
+
+@st.composite
+def blocks(draw):
+    """(a, bs) with a = 0, a nonzero constant or deg a = 1..3, r = 1..5 and
+    zero b's allowed; b_r is sometimes made dependent, a combination of the
+    other b's plus z' - a z, so that a nonzero k always exists."""
+    deg_a = draw(st.integers(-1, 3))
+    a = ZERO
+    if deg_a >= 0:
+        lower = draw(st.lists(rationals, min_size=deg_a, max_size=deg_a))
+        a = UniPoly.from_coeffs([*lower, draw(rationals.filter(bool))])
+    r = draw(st.integers(1, 5))
+    bs = [draw(st.just(ZERO) | unipolys(6)) for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        z = draw(unipolys(3))
+        b = z.derivative() - a * z
+        for c, bj in zip(draw(st.lists(rationals, min_size=r - 1, max_size=r - 1)), bs):
+            b = b + bj * c
+        bs[-1] = b
+    return a, bs
+
+
+@settings(max_examples=300)
+@given(blocks())
+def test_nonzero_k_solution_equals_full_space_rref(block):
+    a, bs = block
+    assert has_nonzero_k_solution(a, bs) == rref_witness_oracle(a, bs)
 
 
 def test_solve_parametric_needs_bs():

@@ -21,3 +21,20 @@ def test_no_assert_statements(path):
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"analysis.py", "linalg.py", "ode.py", "cli.py"}
+
+
+def test_exports_match_imports():
+    # every public name resolves, and every name the package imports into
+    # __init__ is exported, so a renamed or removed function leaves no stale
+    # entry in __all__
+    init = Path(shamsuddin.__file__)
+    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert imported
+    assert [name for name in shamsuddin.__all__ if not hasattr(shamsuddin, name)] == []
+    assert sorted(imported - set(shamsuddin.__all__)) == []
