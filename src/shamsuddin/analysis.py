@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .derivations import Block, Derivation, TriangularDerivation, apply_derivation
-from .endos import AffineEndo, PolyEndo, affine_is_automorphism, affine_to_endo, commutes
+from .endos import AffineEndo, PolyEndo, affine_is_automorphism, affine_to_endo, commutes, endo_to_affine
 from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
 from .ode import degree_bound, has_nonzero_k_solution, parametric_spaces, reduce_linear_ode
 from .polynomials import MultiPoly, Rational, UniPoly
@@ -30,6 +30,8 @@ Witness = tuple[tuple[Rational, ...], UniPoly]
 #: fixed scale for witness automorphisms; any value other than 0 and 1 works,
 #: and pinning it keeps all outputs deterministic
 WITNESS_SCALE = Fraction(2)
+
+_SAMPLE_ATTEMPTS = 32
 
 
 @dataclass(frozen=True)
@@ -97,18 +99,26 @@ def _block_witness_endo(blk: Block, witness: Witness | None) -> PolyEndo:
     return PolyEndo(MultiPoly.x(r), tuple(images))
 
 
+def _check_automorphism(rho: PolyEndo, d: Derivation) -> None:
+    """Raise VerificationError unless rho is affine with det C != 0 and commutes with d."""
+    affine = endo_to_affine(rho)
+    if affine is None or not affine_is_automorphism(affine) or not commutes(rho, d):
+        raise VerificationError("isotropy map failed verification")
+
+
 def isotropy_witness(d: Derivation) -> PolyEndo | None:
-    """A verified non-identity automorphism commuting with d, or None when d
-    is simple.  The witness acts inside one non-simple block and is extended
-    by the identity on all other variables."""
+    """A non-identity automorphism commuting with d, or None when d is simple.
+    It acts inside one non-simple block, is extended by the identity elsewhere,
+    and is verified exactly (det C != 0 and commutation) before it is returned."""
     verdict = is_simple(d)
     if verdict.simple:
         return None
     index, witness = next((i, w) for i, w in verdict.per_block if w is not None)
     local = _block_witness_endo(d.blocks[index], witness)
     rho = embed_block_endo(d, index, local)
-    if rho.is_identity or not commutes(rho, d):
+    if rho.is_identity:
         raise VerificationError("isotropy witness failed verification")
+    _check_automorphism(rho, d)
     return rho
 
 
@@ -211,13 +221,14 @@ def isotropy_describe_block(a: UniPoly, bs: Sequence[UniPoly]) -> IsotropyDescri
 
 
 def sample_isotropy_element(
-    desc: IsotropyDescription, seed: int = 0, attempts: int = 32
+    desc: IsotropyDescription, seed: int = 0
 ) -> AffineEndo | PolyEndo | None:
     """Draw one member of the described family, seeded and verified.
 
     Affine cases reject draws with singular C and return None only if every
     attempt is singular.  The a = 0 case samples the antiderivative family
-    with p constant and q affine, which is always invertible.
+    with p constant and q affine.  A returned member has det C != 0 and
+    commutes with the block, both checked exactly.
     """
     rng = random.Random(seed)
     r = desc.arity
@@ -233,10 +244,9 @@ def sample_isotropy_element(
             wbar = MultiPoly.y(r, t) - ht.lift(r)
             images.append(ht.compose(f) + wbar * scale + MultiPoly.const(r, offset))
         rho = PolyEndo(f, tuple(images))
-        if not commutes(rho, block):
-            raise VerificationError("sampled isotropy member does not commute")
+        _check_automorphism(rho, block)
         return rho
-    for _ in range(attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         c = Fraction(0) if desc.shift_forced_zero else Fraction(rng.randint(-3, 3))
         spaces = desc.row_spaces(c)
         c_rows, gs = [], []

@@ -71,9 +71,6 @@ class Derivation:
             tuple(b.lift(self.arity) for _, b in pairs),
         )
 
-    def apply(self, f: MultiPoly) -> MultiPoly:
-        return apply_derivation(self, f)
-
     def __str__(self) -> str:
         from .textio import format_derivation
 
@@ -96,9 +93,6 @@ class TriangularDerivation:
                 raise ValueError("b coefficients must live in the full ring")
             if any(bj.uses_y(i) for i in range(j, self.arity + 1)):
                 raise ValueError(f"b_{j} may only involve x, y1..y{j - 1}")
-
-    def apply(self, f: MultiPoly) -> MultiPoly:
-        return apply_derivation(self, f)
 
     def __str__(self) -> str:
         from .textio import format_derivation

@@ -74,10 +74,6 @@ class UniPoly:
         return cls({0: value})
 
     @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "UniPoly":
-        return cls({degree: coeff})
-
-    @classmethod
     def from_coeffs(cls, ascending: Sequence[Scalar]) -> "UniPoly":
         """Build from coefficients listed by ascending degree."""
         return cls(enumerate(ascending))

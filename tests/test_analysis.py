@@ -144,6 +144,12 @@ def test_known_witnesses():
     assert isotropy_witness(normalize([(X, ONE)])) is None
 
 
+def test_witness_invertibility_checked_in_library(monkeypatch):
+    monkeypatch.setattr(analysis, "affine_is_automorphism", lambda rho: False)
+    with pytest.raises(VerificationError):
+        isotropy_witness(normalize([(ONE, X)]))
+
+
 def test_witness_for_multi_block():
     d = normalize([(X, ONE), (ONE, X)])
     rho = isotropy_witness(d)
@@ -525,13 +531,27 @@ def test_preimage_check_raises_verification_error(monkeypatch):
         preimage_bounded(d, MultiPoly.y(1, 1), 8, 4)
 
 
-def test_preimage_check_survives_optimize_flag():
+@pytest.mark.parametrize(
+    "patch, call",
+    [
+        (
+            "analysis.apply_derivation = lambda d, f: MultiPoly.zero(d.arity)",
+            "analysis.preimage_bounded(normalize([(ONE, ONE)]), MultiPoly.y(1, 1), 8, 4)",
+        ),
+        (
+            "analysis.commutes = lambda rho, d: False",
+            "analysis.isotropy_witness(normalize([(ONE, UniPoly.x())]))",
+        ),
+    ],
+    ids=["preimage", "isotropy_witness"],
+)
+def test_preimage_check_survives_optimize_flag(patch, call):
     code = (
         "from shamsuddin import MultiPoly, UniPoly, VerificationError, analysis, normalize\n"
-        "analysis.apply_derivation = lambda d, f: MultiPoly.zero(d.arity)\n"
-        "d = normalize([(UniPoly.one(), UniPoly.one())])\n"
+        "ONE = UniPoly.one()\n"
+        f"{patch}\n"
         "try:\n"
-        "    analysis.preimage_bounded(d, MultiPoly.y(1, 1), 8, 4)\n"
+        f"    {call}\n"
         "except VerificationError:\n"
         "    print('raised')\n"
     )

@@ -164,9 +164,47 @@ def test_failed_preimage_check_exits_4(monkeypatch):
 
 
 def test_unverified_witness_exits_4(monkeypatch):
-    monkeypatch.setattr(cli, "commutes", lambda rho, d: False)
+    monkeypatch.setattr(analysis, "commutes", lambda rho, d: False)
     code, out, err = _run(["isotropy", "--deriv", NONSIMPLE, "--witness"])
-    assert code == 4 and out == "" and "unverified witness" in err
+    assert code == 4 and out == "" and "verification failed" in err
+
+
+def test_singular_sample_exits_4(monkeypatch):
+    # invertibility of a printed map is checked in the library, not the CLI
+    monkeypatch.setattr(analysis, "affine_is_automorphism", lambda rho: False)
+    code, out, err = _run(["describe", "--seed", "1", "--deriv", "y1: a=0, b=1"])
+    assert code == 4 and out == "" and "verification failed" in err
+
+
+def test_each_printed_map_is_checked_once(monkeypatch):
+    calls = []
+    original = analysis.commutes
+
+    def counted(rho, d):
+        calls.append(rho)
+        return original(rho, d)
+
+    monkeypatch.setattr(analysis, "commutes", counted)
+    monkeypatch.setattr(cli, "commutes", counted)
+    for argv in [
+        ["isotropy", "--witness", "--deriv", NONSIMPLE],
+        ["describe", "--seed", "1", "--deriv", "y1: a=0, b=x ; y2: a=0, b=1"],
+        ["describe", "--seed", "1", "--deriv", "y1: a=2, b=x^2+1 ; y2: a=2, b=x"],
+    ]:
+        calls.clear()
+        code, out, _ = _run(argv)
+        assert code == 0 and ("witness: " in out or "sample: x -> " in out), out
+        assert len(calls) == 1, argv
+
+
+def test_parser_is_built_once(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("argparse parser rebuilt for a request")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+    for _ in range(2):
+        code, out, _ = _run(["locally-finite", "--deriv", SIMPLE])
+        assert code == 0 and out == "locally_finite: false\n"
 
 
 def test_unchecked_simplicity_witness_exits_4(monkeypatch):

@@ -38,3 +38,18 @@ def test_exports_match_imports():
     assert imported
     assert [name for name in shamsuddin.__all__ if not hasattr(shamsuddin, name)] == []
     assert sorted(imported - set(shamsuddin.__all__)) == []
+
+
+def test_cli_raises_no_verification_error():
+    # results are verified where the library makes them; the CLI only maps
+    # VerificationError to exit 4
+    path = Path(shamsuddin.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    raised = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "VerificationError" in ast.unparse(node.exc)
+    ]
+    assert not raised, f"cli.py raises VerificationError at lines {raised}"
