@@ -35,6 +35,7 @@ from .derivations import (
 from .endos import (
     AffineEndo,
     PolyEndo,
+    affine_commutes,
     affine_inverse,
     affine_is_automorphism,
     affine_to_endo,
@@ -95,6 +96,7 @@ __all__ = [
     "TriangularDerivation",
     "UniPoly",
     "VerificationError",
+    "affine_commutes",
     "affine_inverse",
     "affine_is_automorphism",
     "affine_to_endo",

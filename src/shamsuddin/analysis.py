@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .derivations import Block, Derivation, TriangularDerivation, apply_derivation
-from .endos import AffineEndo, PolyEndo, affine_is_automorphism, affine_to_endo, commutes, endo_to_affine
+from .endos import AffineEndo, PolyEndo, affine_commutes, affine_is_automorphism, endo_to_affine
 from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
 from .ode import degree_bound, has_nonzero_k_solution, parametric_spaces, reduce_linear_ode
 from .polynomials import MultiPoly, Rational, UniPoly
@@ -99,10 +99,11 @@ def _block_witness_endo(blk: Block, witness: Witness | None) -> PolyEndo:
     return PolyEndo(MultiPoly.x(r), tuple(images))
 
 
-def _check_automorphism(rho: PolyEndo, d: Derivation) -> None:
-    """Raise VerificationError unless rho is affine with det C != 0 and commutes with d."""
-    affine = endo_to_affine(rho)
-    if affine is None or not affine_is_automorphism(affine) or not commutes(rho, d):
+def _check_automorphism(rho: AffineEndo | None, d: Derivation) -> None:
+    """Raise VerificationError unless rho is an affine map with det C != 0
+    that commutes with d.  Commutation is checked exactly by the univariate
+    identities of ``affine_commutes``; None (a map that is not affine) fails."""
+    if rho is None or not affine_is_automorphism(rho) or not affine_commutes(rho, d):
         raise VerificationError("isotropy map failed verification")
 
 
@@ -118,7 +119,7 @@ def isotropy_witness(d: Derivation) -> PolyEndo | None:
     rho = embed_block_endo(d, index, local)
     if rho.is_identity:
         raise VerificationError("isotropy witness failed verification")
-    _check_automorphism(rho, d)
+    _check_automorphism(endo_to_affine(rho), d)
     return rho
 
 
@@ -227,8 +228,10 @@ def sample_isotropy_element(
 
     Affine cases reject draws with singular C and return None only if every
     attempt is singular.  The a = 0 case samples the antiderivative family
-    with p constant and q affine.  A returned member has det C != 0 and
-    commutes with the block, both checked exactly.
+    with p constant and q affine, so its member is affine too.  A returned
+    member has det C != 0 and commutes with the block, both checked exactly;
+    commutation is checked once, by the univariate identities of
+    ``affine_commutes``, and a failure raises VerificationError.
     """
     rng = random.Random(seed)
     r = desc.arity
@@ -244,7 +247,7 @@ def sample_isotropy_element(
             wbar = MultiPoly.y(r, t) - ht.lift(r)
             images.append(ht.compose(f) + wbar * scale + MultiPoly.const(r, offset))
         rho = PolyEndo(f, tuple(images))
-        _check_automorphism(rho, block)
+        _check_automorphism(endo_to_affine(rho), block)
         return rho
     for _ in range(_SAMPLE_ATTEMPTS):
         c = Fraction(0) if desc.shift_forced_zero else Fraction(rng.randint(-3, 3))
@@ -259,7 +262,7 @@ def sample_isotropy_element(
         candidate = AffineEndo(c, matrix, tuple(gs))
         if not affine_is_automorphism(candidate):
             continue
-        if not commutes(affine_to_endo(candidate), block):
+        if not affine_commutes(candidate, block):
             raise VerificationError("sampled isotropy member does not commute")
         return candidate
     return None

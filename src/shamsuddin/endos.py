@@ -1,9 +1,21 @@
 """Polynomial ring endomorphisms and the affine-in-y subfamily.
 
 A ``PolyEndo`` is determined by the images of the generators; applying it to a
-polynomial is substitution.  ``AffineEndo`` is the family x -> x + c,
-y_t -> sum_j C[t][j] y_j + g0_t(x); it is an automorphism exactly when C is
-invertible, and then its inverse is affine again.
+polynomial is substitution, and ``commutes`` checks D(rho(v)) = rho(D(v)) on
+the generators that way, for any derivation and any map.
+
+``AffineEndo`` is the family x -> x + c, y_t -> sum_j C[t][j] y_j + g0_t(x);
+it is an automorphism exactly when C is invertible, and then its inverse is
+affine again.  Every map the library prints has this shape: each commuting
+automorphism of a Shamsuddin derivation with a != 0 is affine, and so are the
+a = 0 samples and every witness.  For such a map and D(y_t) = a_t y_t + b_t,
+commutation on the generators is exactly two univariate identities per row t,
+
+    a_j(x) = a_t(x + c)                                 whenever C[t][j] != 0,
+    sum_j C[t][j] b_j + g0_t' = a_t(x + c) g0_t + b_t(x + c),
+
+which ``affine_commutes`` checks with O(n^2) ``UniPoly`` operations and no
+multivariate substitution.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivations import AnyDerivation, apply_derivation
+from .derivations import AnyDerivation, Derivation, apply_derivation
 from .linalg import QMatrix
 from .polynomials import MultiPoly, Rational, UniPoly
 
@@ -105,6 +117,37 @@ class AffineEndo:
 def affine_is_automorphism(rho: AffineEndo) -> bool:
     """True iff det C != 0; such maps are invertible with affine inverse."""
     return rho.C.det() != 0
+
+
+def affine_commutes(rho: AffineEndo, d: Derivation) -> bool:
+    """Exact check that rho commutes with d, by the univariate identities.
+
+    Comparing D(rho(y_t)) = sum_j C[t][j] (a_j y_j + b_j) + g0_t' with
+    rho(D(y_t)) = a_t(x + c) (sum_j C[t][j] y_j + g0_t) + b_t(x + c) gives
+    the identities of the module docstring: the coefficient of each y_j and
+    the y-free part.  On x both sides are 1.  The verdict equals
+    ``commutes(affine_to_endo(rho), d)``.
+    """
+    if rho.arity != d.arity:
+        raise ValueError("arity mismatch")
+    c = rho.c
+    pairs = d.coeff_pairs()
+    for blk in d.blocks:
+        # a_t is shared by the block; shift(0) returns the polynomial itself,
+        # so the many maps with c = 0 (every isotropy map of a block with
+        # deg a >= 1) shift nothing
+        a_c = blk.a.shift(c)
+        for b, t in zip(blk.bs, blk.var_indices):
+            g = rho.g0[t - 1]
+            lhs = g.derivative()
+            for (a_j, b_j), entry in zip(pairs, rho.C.row(t - 1)):
+                if entry:
+                    if a_j != a_c:
+                        return False
+                    lhs = lhs + b_j * entry
+            if lhs != a_c * g + b.shift(c):
+                return False
+    return True
 
 
 def affine_to_endo(rho: AffineEndo) -> PolyEndo:

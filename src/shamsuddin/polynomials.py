@@ -437,14 +437,15 @@ class MultiPoly:
         for im in images:
             if im.arity != target:
                 raise ValueError("images must share one arity")
-        powers: dict[tuple[int, int], MultiPoly] = {}
+        # powers[var][e - 1] = images[var] ** e, built upward from the highest
+        # power already held, one multiplication by the image per step
+        powers = [[im] for im in images]
 
         def power(var: int, e: int) -> MultiPoly:
-            got = powers.get((var, e))
-            if got is None:
-                got = images[var] ** e
-                powers[var, e] = got
-            return got
+            held = powers[var]
+            while len(held) < e:
+                held.append(held[-1] * images[var])
+            return held[e - 1]
 
         acc = MultiPoly.zero(target)
         for exps, v in self._t.items():

@@ -539,7 +539,7 @@ def test_preimage_check_raises_verification_error(monkeypatch):
             "analysis.preimage_bounded(normalize([(ONE, ONE)]), MultiPoly.y(1, 1), 8, 4)",
         ),
         (
-            "analysis.commutes = lambda rho, d: False",
+            "analysis.affine_commutes = lambda rho, d: False",
             "analysis.isotropy_witness(normalize([(ONE, UniPoly.x())]))",
         ),
     ],

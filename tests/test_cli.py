@@ -164,7 +164,7 @@ def test_failed_preimage_check_exits_4(monkeypatch):
 
 
 def test_unverified_witness_exits_4(monkeypatch):
-    monkeypatch.setattr(analysis, "commutes", lambda rho, d: False)
+    monkeypatch.setattr(analysis, "affine_commutes", lambda rho, d: False)
     code, out, err = _run(["isotropy", "--deriv", NONSIMPLE, "--witness"])
     assert code == 4 and out == "" and "verification failed" in err
 
@@ -178,14 +178,17 @@ def test_singular_sample_exits_4(monkeypatch):
 
 def test_each_printed_map_is_checked_once(monkeypatch):
     calls = []
-    original = analysis.commutes
 
-    def counted(rho, d):
-        calls.append(rho)
-        return original(rho, d)
+    def counting(check):
+        def counted(rho, d):
+            calls.append(rho)
+            return check(rho, d)
 
-    monkeypatch.setattr(analysis, "commutes", counted)
-    monkeypatch.setattr(cli, "commutes", counted)
+        return counted
+
+    # every binding of either commutation check, library and CLI
+    monkeypatch.setattr(analysis, "affine_commutes", counting(analysis.affine_commutes))
+    monkeypatch.setattr(cli, "commutes", counting(cli.commutes))
     for argv in [
         ["isotropy", "--witness", "--deriv", NONSIMPLE],
         ["describe", "--seed", "1", "--deriv", "y1: a=0, b=x ; y2: a=0, b=1"],
@@ -195,6 +198,32 @@ def test_each_printed_map_is_checked_once(monkeypatch):
         code, out, _ = _run(argv)
         assert code == 0 and ("witness: " in out or "sample: x -> " in out), out
         assert len(calls) == 1, argv
+
+
+def test_printed_maps_are_checked_without_substitution(monkeypatch):
+    """Witnesses and samples are verified by univariate identities: no
+    request that prints one substitutes into a MultiPoly or runs commutes."""
+    calls = []
+    original = MultiPoly.substitute
+    monkeypatch.setattr(
+        MultiPoly, "substitute", lambda f, images: calls.append("substitute") or original(f, images)
+    )
+    for module in [m for name, m in sys.modules.items() if name.startswith("shamsuddin")]:
+        if hasattr(module, "commutes"):
+            check = module.commutes
+            monkeypatch.setattr(
+                module, "commutes", lambda rho, d, check=check: calls.append("commutes") or check(rho, d)
+            )
+    # one block each with a = 0, constant a and deg a >= 1, none of them simple
+    for deriv in [
+        "y1: a=0, b=x ; y2: a=0, b=1",
+        "y1: a=2, b=x^2+1 ; y2: a=2, b=x",
+        "y1: a=x, b=-x ; y2: a=x, b=1",
+    ]:
+        for argv, printed in [(["isotropy", "--witness"], "witness: "), (["describe", "--seed", "1"], "sample: ")]:
+            code, out, _ = _run([*argv, "--deriv", deriv])
+            assert code == 0 and printed in out, (argv, deriv, out)
+    assert calls == []
 
 
 def test_parser_is_built_once(monkeypatch):

@@ -11,6 +11,7 @@ from shamsuddin import (
     PolyEndo,
     QMatrix,
     UniPoly,
+    affine_commutes,
     affine_inverse,
     affine_is_automorphism,
     affine_to_endo,
@@ -19,7 +20,10 @@ from shamsuddin import (
     endo_apply,
     endo_compose,
     endo_to_affine,
+    isotropy_describe_block,
+    isotropy_witness,
     normalize,
+    sample_isotropy_element,
 )
 
 X = UniPoly.x()
@@ -135,3 +139,102 @@ def test_arity_validation():
         PolyEndo(MultiPoly.x(2), (MultiPoly.y(1, 1),))
     with pytest.raises(ValueError):
         AffineEndo(Fraction(0), QMatrix([[1, 0], [0, 1]]), (ZERO,))
+    with pytest.raises(ValueError):
+        affine_commutes(AffineEndo.identity(2), normalize([(ONE, ZERO)]))
+
+
+@st.composite
+def block_derivations(draw):
+    """1-3 blocks with a = 0, a nonzero constant or deg a in 1..3, one or two
+    variables each; a block with deg a >= 1 often gets a planted b = z' - a z,
+    so that it is not simple and has a witness."""
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "constant", "degree"]), min_size=1, max_size=3)):
+        if kind == "zero":
+            a = ZERO
+        elif kind == "constant":
+            a = UniPoly.constant(draw(st.sampled_from([-2, -1, 1, 2, 3])))
+        else:
+            lower = draw(st.lists(small_ints, min_size=1, max_size=3))
+            a = UniPoly.from_coeffs(lower + [draw(st.sampled_from([-2, -1, 1, 2]))])
+        for _ in range(draw(st.integers(1, 2))):
+            if kind == "degree" and draw(st.booleans()):
+                z = draw(unipolys(2, small_ints))
+                pairs.append((a, z.derivative() - a * z))
+            else:
+                pairs.append((a, draw(unipolys(3, small_ints))))
+    return normalize(pairs)
+
+
+@st.composite
+def shifted_chains(draw):
+    """Blocks a(x) and a(x + c) with deg a >= 1 and c != 0, and a planted
+    map x -> x + c, y1 -> y2 + g1, y2 -> g2 that commutes (C is singular),
+    so that a_t(x + c) is used on blocks with deg a >= 1 and still commutes."""
+    a = UniPoly.from_coeffs(draw(st.lists(small_ints, min_size=1, max_size=3)) + [1])
+    c = draw(st.sampled_from([-2, -1, 1, 2]))
+    g1, g2 = draw(unipolys(2, small_ints)), draw(unipolys(2, small_ints))
+    a2 = a.shift(c)
+    b2 = (g2.derivative() - a2.shift(c) * g2).shift(-c)
+    b1 = (b2 + g1.derivative() - a2 * g1).shift(-c)
+    rho = AffineEndo(Fraction(c), QMatrix([[0, 1], [0, 0]]), (g1, g2))
+    return normalize([(a, b1), (a2, b2)]), rho
+
+
+def _with_entry(rho, t, j, value):
+    rows = rho.C.row_list()
+    rows[t][j] = Fraction(value)
+    return AffineEndo(rho.c, QMatrix(rows, cols=rho.arity), rho.g0)
+
+
+def _perturbed(rho, d, draw):
+    """The map with x added to one g_t, one C entry flipped, the shift moved
+    (when d has a block with deg a >= 1), and a C entry across two blocks."""
+    n = rho.arity
+    t = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1))
+    g0 = list(rho.g0)
+    g0[t] = g0[t] + X
+    out = [
+        AffineEndo(rho.c, rho.C, tuple(g0)),
+        _with_entry(rho, t, j, 0 if rho.C.entry(t, j) else 1),
+    ]
+    if any(blk.a.degree >= 1 for blk in d.blocks):
+        out.append(AffineEndo(rho.c + 1, rho.C, rho.g0))
+    if len(d.blocks) > 1:
+        first, second = draw(st.permutations(d.blocks))[:2]
+        out.append(_with_entry(rho, first.var_indices[0] - 1, second.var_indices[0] - 1, 1))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(block_derivations().map(lambda d: (d, None)), shifted_chains()),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_affine_commutes_equals_substitution_check(planted, seed, data):
+    """The univariate identities give the verdict of the generic check, on the
+    witness and samples the library prints and on perturbed copies of them."""
+    d, chain = planted
+    cases = [(AffineEndo.identity(d.arity), d)]
+    if chain is not None:
+        assert affine_commutes(chain, d)
+        cases.append((chain, d))
+    witness = isotropy_witness(d)
+    if witness is not None:
+        cases.append((endo_to_affine(witness), d))
+    for index, blk in enumerate(d.blocks):
+        sample = sample_isotropy_element(isotropy_describe_block(blk.a, blk.bs), seed)
+        if isinstance(sample, PolyEndo):
+            sample = endo_to_affine(sample)
+        if sample is not None:
+            cases.append((sample, d.block_derivation(index)))
+    cases += [(bad, dd) for rho, dd in list(cases) for bad in _perturbed(rho, dd, data.draw)]
+    verdicts = []
+    for rho, dd in cases:
+        fast = affine_commutes(rho, dd)
+        assert fast == commutes(affine_to_endo(rho), dd), (rho, dd)
+        verdicts.append(fast)
+    # the printed maps commute, and x added to g_t never does
+    assert True in verdicts and False in verdicts

@@ -126,6 +126,24 @@ def test_substitution_is_a_ring_map(f, g):
     assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
 
 
+@given(
+    multipolys(arity=2, max_deg=6, max_terms=10),
+    st.integers(0, 2).flatmap(
+        lambda m: st.lists(multipolys(arity=m, max_deg=2, max_terms=3), min_size=3, max_size=3)
+    ),
+)
+def test_substitute_equals_termwise_pow(f, images):
+    # substitute builds each power from the highest one it already holds;
+    # the oracle raises every image to every exponent from scratch
+    expected = MultiPoly.zero(images[0].arity)
+    for exps, v in f.terms().items():
+        term = MultiPoly.const(images[0].arity, v)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        expected = expected + term
+    assert f.substitute(images) == expected
+
+
 def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         MultiPoly.x(1) + MultiPoly.x(2)

@@ -53,3 +53,17 @@ def test_cli_raises_no_verification_error():
         and "VerificationError" in ast.unparse(node.exc)
     ]
     assert not raised, f"cli.py raises VerificationError at lines {raised}"
+
+
+def test_analysis_does_not_import_commutes():
+    # isotropy maps are verified by endos.affine_commutes; the generic
+    # substitution check serves only the commute subcommand
+    path = Path(shamsuddin.__file__).parent / "analysis.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "affine_commutes" in imported and "commutes" not in imported
