@@ -5,7 +5,8 @@ Every subcommand reads one derivation (inline ``--deriv``, a file path, or
 with ``--json``.  The library verifies every witness and sample it returns
 (commutation and det C != 0, exactly), so the CLI only prints them.
 
-Exit codes: 0 success, 2 parse error, 3 semantic error, 4 verification
+Exit codes: 0 success, 2 parse error, 3 semantic error (including input
+whose parenthesised products exceed the parser's work budget), 4 verification
 failure (a computed witness, sample or preimage failed its exact check, which
 is a defect of the library, not of the input); with ``--exit-status`` a
 boolean verdict maps true -> 0, false -> 1.

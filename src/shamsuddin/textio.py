@@ -17,6 +17,16 @@ Derivation files are semicolon- or newline-separated entries
 (the x-component of every derivation is implicitly 1 and never written), and
 endomorphism files are entries ``x -> <poly>`` and ``y<i> -> <poly>``.
 
+Parsing is one pass over the tokens.  A term's numbers and ``var^e``
+factors fold straight into one coefficient and one exponent vector, and a
+sum accumulates its signed terms into one exponent-vector dict, so a flat
+polynomial costs time linear in its number of terms and no polynomial
+arithmetic.  Only parenthesised factors are multiplied (and raised to powers)
+as ``MultiPoly``; each such product of an m-term by a k-term polynomial must
+keep m*k within ``MAX_TERM_PAIRS``, or parsing stops with a
+``SemanticError`` (exit 3 in the CLI).  Exponents are capped at
+``MAX_EXPONENT`` and nesting at ``MAX_DEPTH``.
+
 Serialization is canonical: terms sorted by exponent vector descending
 (x-degree first, then y1, y2, ...), coefficients as reduced fractions, so
 formatting then re-parsing is the identity and output is byte-stable.
@@ -28,7 +38,7 @@ import re
 
 from .derivations import AnyDerivation, Derivation, TriangularDerivation, normalize
 from .endos import PolyEndo
-from .polynomials import MultiPoly, Rational, UniPoly
+from .polynomials import _ZERO, MultiPoly, Rational, Scalar, UniPoly, _raw_multi
 
 
 class ParseError(ValueError):
@@ -43,8 +53,9 @@ class SemanticError(ValueError):
     """Well-formed text whose meaning is rejected (arity, dependencies, ...)."""
 
 
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+[0-9]*|->|[-+*^()/:,=]")
-_SKIP = re.compile(r"[ \t\r\n]*")
+# a token, or else the first character that starts none, after whitespace
+_LEX = re.compile(r"[ \t\r\n]*(?:([0-9]+|[A-Za-z]+[0-9]*|->|[-+*^()/:,=])|([^ \t\r\n]))")
+_Y_VAR = re.compile(r"y([0-9]+)")
 
 # parser-level guard against pathological inputs like (x+1)^999999; the
 # library API itself has no degree limit
@@ -54,22 +65,19 @@ MAX_EXPONENT = 256
 # input would exhaust the interpreter stack
 MAX_DEPTH = 100
 
+# work budget of the parser: a product of parenthesised polynomials with m
+# and k terms costs m*k coefficient products, and (y1+x+1)^256 would need
+# billions of them; every product the parser performs must stay within this
+MAX_TERM_PAIRS = 2**16
+
 
 class _Tokens:
     def __init__(self, text: str, offset: int = 0):
-        self.text = text
-        self.offset = offset
-        self.toks: list[tuple[str, int]] = []
-        i = 0
-        while i < len(text):
-            i = _SKIP.match(text, i).end()
-            if i >= len(text):
-                break
-            m = _TOKEN.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {text[i]!r}", offset + i)
-            self.toks.append((m.group(), offset + i))
-            i = m.end()
+        # group 1 is a token, group 2 a character that starts none
+        self.toks = [(m.group(1), offset + m.start(m.lastindex)) for m in _LEX.finditer(text)]
+        for tok, pos in self.toks:
+            if tok is None:
+                raise ParseError(f"unexpected character {text[pos - offset]!r}", pos)
         self.toks.append(("", offset + len(text)))  # end marker
         self.i = 0
         self.depth = 0
@@ -86,10 +94,10 @@ class _Tokens:
             self.i += 1
         return tok
 
-    def expect(self, token: str, what: str | None = None) -> None:
+    def expect(self, token: str) -> None:
         got, pos = self.toks[self.i]
         if got != token:
-            raise ParseError(f"expected {what or token!r}, found {got!r}", pos)
+            raise ParseError(f"expected {token!r}, found {got!r}", pos)
         self.i += 1
 
     def expect_end(self) -> None:
@@ -105,68 +113,110 @@ def _parse_nat(ts: _Tokens, what: str) -> int:
     return int(got)
 
 
-def _parse_base(ts: _Tokens, arity: int) -> MultiPoly:
-    got, pos = ts.next()
-    if got.isdigit():
-        num = int(got)
-        if ts.peek() == "/":
-            ts.next()
-            den = _parse_nat(ts, "a denominator")
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return MultiPoly.const(arity, Rational(num, den))
-        return MultiPoly.const(arity, num)
-    if got == "(":
-        if ts.depth == MAX_DEPTH:
-            raise ParseError(f"parentheses nested deeper than the parser limit {MAX_DEPTH}", pos)
-        ts.depth += 1
-        inner = _parse_poly(ts, arity)
-        ts.expect(")")
-        ts.depth -= 1
-        return inner
-    if got == "x":
-        return MultiPoly.x(arity)
-    m = re.fullmatch(r"y([0-9]+)", got)
-    if m:
-        j = int(m.group(1))
-        if not 1 <= j <= arity:
-            raise ParseError(f"unknown variable {got!r} (arity {arity})", pos)
-        return MultiPoly.y(arity, j)
-    raise ParseError(f"expected a number, variable, or '(', found {got!r}", pos)
+def _parse_exponent(ts: _Tokens) -> int:
+    if ts.peek() != "^":
+        return 1
+    ts.next()
+    pos = ts.pos()
+    exponent = _parse_nat(ts, "an exponent")
+    if exponent > MAX_EXPONENT:
+        raise ParseError(f"exponent {exponent} exceeds the parser limit {MAX_EXPONENT}", pos)
+    return exponent
 
 
-def _parse_factor(ts: _Tokens, arity: int) -> MultiPoly:
-    base = _parse_base(ts, arity)
-    if ts.peek() == "^":
+def _product(p: MultiPoly, q: MultiPoly, pos: int) -> MultiPoly:
+    pairs = len(p.terms()) * len(q.terms())
+    if pairs > MAX_TERM_PAIRS:
+        raise SemanticError(
+            f"product of {pairs} term pairs exceeds the parser limit {MAX_TERM_PAIRS} "
+            f"(at position {pos})"
+        )
+    return p * q
+
+
+def _power(base: MultiPoly, exponent: int, pos: int) -> MultiPoly:
+    """base**exponent by the square-and-multiply steps of MultiPoly.__pow__
+    (so the terms come out in the same order), each step within the budget."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else _product(result, base, pos)
+        exponent >>= 1
+        if exponent:
+            base = _product(base, base, pos)
+    return MultiPoly.one(base.arity) if result is None else result
+
+
+def _parse_term(ts: _Tokens, arity: int) -> list[tuple[tuple[int, ...], Scalar]]:
+    """One product of factors, as its (exponent vector, coefficient) pairs.
+
+    Numbers and variable powers fold into one coefficient and one exponent
+    vector; only parenthesised factors are multiplied as polynomials.  A
+    monomial factor moves no term of such a product, so the pairs come out in
+    the order left-to-right polynomial multiplication gives them.
+    """
+    coeff: Scalar = 1
+    exps = [0] * (arity + 1)
+    product: MultiPoly | None = None
+    while True:
+        got, pos = ts.next()
+        if got.isdigit():
+            value: Scalar = int(got)
+            if ts.peek() == "/":
+                ts.next()
+                den = _parse_nat(ts, "a denominator")
+                if den == 0:
+                    raise ParseError("zero denominator", pos)
+                value = Rational(value, den)
+            coeff *= value ** _parse_exponent(ts)
+        elif got == "(":
+            if ts.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than the parser limit {MAX_DEPTH}", pos)
+            ts.depth += 1
+            inner = _parse_poly(ts, arity)
+            ts.expect(")")
+            ts.depth -= 1
+            factor = _power(inner, _parse_exponent(ts), pos)
+            product = factor if product is None else _product(product, factor, pos)
+        elif got == "x":
+            exps[0] += _parse_exponent(ts)
+        else:
+            m = _Y_VAR.fullmatch(got)
+            if not m:
+                raise ParseError(f"expected a number, variable, or '(', found {got!r}", pos)
+            j = int(m.group(1))
+            if not 1 <= j <= arity:
+                raise ParseError(f"unknown variable {got!r} (arity {arity})", pos)
+            exps[j] += _parse_exponent(ts)
+        if ts.peek() != "*":
+            break
         ts.next()
-        pos = ts.pos()
-        exponent = _parse_nat(ts, "an exponent")
-        if exponent > MAX_EXPONENT:
-            raise ParseError(f"exponent {exponent} exceeds the parser limit {MAX_EXPONENT}", pos)
-        return base**exponent
-    return base
-
-
-def _parse_term(ts: _Tokens, arity: int) -> MultiPoly:
-    acc = _parse_factor(ts, arity)
-    while ts.peek() == "*":
-        ts.next()
-        acc = acc * _parse_factor(ts, arity)
-    return acc
+    if not coeff:
+        return []
+    if product is None:
+        return [(tuple(exps), coeff)]
+    return [
+        (tuple(a + b for a, b in zip(e, exps)), v * coeff) for e, v in product.terms().items()
+    ]
 
 
 def _parse_poly(ts: _Tokens, arity: int) -> MultiPoly:
+    """A signed sum of terms, accumulated into one exponent-vector dict;
+    terms that cancel are popped, as MultiPoly.__add__ does."""
+    acc: dict[tuple[int, ...], Rational] = {}
     negate = False
     if ts.peek() in ("+", "-"):
         negate = ts.next()[0] == "-"
-    acc = _parse_term(ts, arity)
-    if negate:
-        acc = -acc
-    while ts.peek() in ("+", "-"):
-        op = ts.next()[0]
-        term = _parse_term(ts, arity)
-        acc = acc - term if op == "-" else acc + term
-    return acc
+    while True:
+        for e, v in _parse_term(ts, arity):
+            q = acc.get(e, _ZERO) - v if negate else acc.get(e, _ZERO) + v
+            if q:
+                acc[e] = q
+            else:
+                acc.pop(e, None)
+        if ts.peek() not in ("+", "-"):
+            return _raw_multi(arity, acc)
+        negate = ts.next()[0] == "-"
 
 
 def parse_poly(text: str, arity: int) -> MultiPoly:
@@ -189,28 +239,28 @@ def _split_entries(text: str) -> list[tuple[str, int]]:
     return entries
 
 
-def _entry_head_index(frag: str, offset: int) -> int:
+def _entry_head(frag: str, offset: int) -> tuple[_Tokens, int]:
+    """Tokenize one derivation entry and read its y<i> head; the tokens are
+    left just past the head, for the body."""
     ts = _Tokens(frag, offset)
     got, pos = ts.next()
-    m = re.fullmatch(r"y([0-9]+)", got)
+    m = _Y_VAR.fullmatch(got)
     if not m:
         raise ParseError(f"entry must start with y<i>, found {got!r}", pos)
-    return int(m.group(1))
+    return ts, int(m.group(1))
 
 
 def parse_derivation(text: str) -> AnyDerivation:
     """Parse a derivation file into its normalized block form when every b is
     univariate in x, and into triangular form otherwise."""
-    entries = _split_entries(text)
-    n = len(entries)
-    indices = [_entry_head_index(frag, off) for frag, off in entries]
-    if sorted(indices) != list(range(1, n + 1)):
-        raise SemanticError(f"entries must cover y1..y{n} exactly once, got {sorted(indices)}")
+    heads = [_entry_head(frag, off) for frag, off in _split_entries(text)]
+    n = len(heads)
+    indices = sorted(j for _, j in heads)
+    if indices != list(range(1, n + 1)):
+        raise SemanticError(f"entries must cover y1..y{n} exactly once, got {indices}")
     a_by: dict[int, UniPoly] = {}
     b_by: dict[int, MultiPoly] = {}
-    for frag, off in entries:
-        ts = _Tokens(frag, off)
-        j = int(ts.next()[0][1:])
+    for ts, j in heads:
         ts.expect(":")
         got, pos = ts.next()
         if got != "a":
@@ -255,7 +305,7 @@ def parse_endo(text: str, arity: int) -> PolyEndo:
                 raise SemanticError("duplicate image for x")
             image_x = poly
             continue
-        m = re.fullmatch(r"y([0-9]+)", got)
+        m = _Y_VAR.fullmatch(got)
         if not m:
             raise ParseError(f"entry must map x or y<i>, found {got!r}", pos)
         j = int(m.group(1))

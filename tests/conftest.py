@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 from shamsuddin import (
     Derivation,
     MultiPoly,
+    ParseError,
+    PolyEndo,
     QMatrix,
+    SemanticError,
     TriangularDerivation,
     UniPoly,
     apply_derivation,
@@ -22,6 +26,7 @@ from shamsuddin import (
     solve_parametric,
 )
 from shamsuddin.polynomials import NEG_INF
+from shamsuddin.textio import MAX_DEPTH, MAX_EXPONENT, _split_entries
 
 # -- hypothesis strategies ----------------------------------------------------
 
@@ -274,5 +279,216 @@ def fraction_rref_rank(matrix: QMatrix) -> int:
         rank += 1
     return rank
 
+
+
+# -- reference parser: the MultiPoly-arithmetic parser the term-level one replaced
+
+
+_REF_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+[0-9]*|->|[-+*^()/:,=]")
+_REF_SKIP = re.compile(r"[ \t\r\n]*")
+
+
+class _RefTokens:
+    def __init__(self, text: str, offset: int = 0):
+        self.toks: list[tuple[str, int]] = []
+        i = 0
+        while i < len(text):
+            i = _REF_SKIP.match(text, i).end()
+            if i >= len(text):
+                break
+            m = _REF_TOKEN.match(text, i)
+            if not m:
+                raise ParseError(f"unexpected character {text[i]!r}", offset + i)
+            self.toks.append((m.group(), offset + i))
+            i = m.end()
+        self.toks.append(("", offset + len(text)))  # end marker
+        self.i = 0
+        self.depth = 0
+
+    def peek(self) -> str:
+        return self.toks[self.i][0]
+
+    def pos(self) -> int:
+        return self.toks[self.i][1]
+
+    def next(self) -> tuple[str, int]:
+        tok = self.toks[self.i]
+        if tok[0]:
+            self.i += 1
+        return tok
+
+    def expect(self, token: str) -> None:
+        got, pos = self.toks[self.i]
+        if got != token:
+            raise ParseError(f"expected {token!r}, found {got!r}", pos)
+        self.i += 1
+
+    def expect_end(self) -> None:
+        got, pos = self.toks[self.i]
+        if got:
+            raise ParseError(f"unexpected trailing input {got!r}", pos)
+
+
+def _ref_nat(ts: _RefTokens, what: str) -> int:
+    got, pos = ts.next()
+    if not got.isdigit():
+        raise ParseError(f"expected {what}, found {got!r}", pos)
+    return int(got)
+
+
+def _ref_base(ts: _RefTokens, arity: int) -> MultiPoly:
+    got, pos = ts.next()
+    if got.isdigit():
+        num = int(got)
+        if ts.peek() == "/":
+            ts.next()
+            den = _ref_nat(ts, "a denominator")
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return MultiPoly.const(arity, Fraction(num, den))
+        return MultiPoly.const(arity, num)
+    if got == "(":
+        if ts.depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than the parser limit {MAX_DEPTH}", pos)
+        ts.depth += 1
+        inner = _ref_poly(ts, arity)
+        ts.expect(")")
+        ts.depth -= 1
+        return inner
+    if got == "x":
+        return MultiPoly.x(arity)
+    m = re.fullmatch(r"y([0-9]+)", got)
+    if m:
+        j = int(m.group(1))
+        if not 1 <= j <= arity:
+            raise ParseError(f"unknown variable {got!r} (arity {arity})", pos)
+        return MultiPoly.y(arity, j)
+    raise ParseError(f"expected a number, variable, or '(', found {got!r}", pos)
+
+
+def _ref_factor(ts: _RefTokens, arity: int) -> MultiPoly:
+    base = _ref_base(ts, arity)
+    if ts.peek() == "^":
+        ts.next()
+        pos = ts.pos()
+        exponent = _ref_nat(ts, "an exponent")
+        if exponent > MAX_EXPONENT:
+            raise ParseError(f"exponent {exponent} exceeds the parser limit {MAX_EXPONENT}", pos)
+        return base**exponent
+    return base
+
+
+def _ref_term(ts: _RefTokens, arity: int) -> MultiPoly:
+    acc = _ref_factor(ts, arity)
+    while ts.peek() == "*":
+        ts.next()
+        acc = acc * _ref_factor(ts, arity)
+    return acc
+
+
+def _ref_poly(ts: _RefTokens, arity: int) -> MultiPoly:
+    negate = False
+    if ts.peek() in ("+", "-"):
+        negate = ts.next()[0] == "-"
+    acc = _ref_term(ts, arity)
+    if negate:
+        acc = -acc
+    while ts.peek() in ("+", "-"):
+        op = ts.next()[0]
+        term = _ref_term(ts, arity)
+        acc = acc - term if op == "-" else acc + term
+    return acc
+
+
+def reference_parse_poly(text: str, arity: int) -> MultiPoly:
+    """parse_poly by MultiPoly arithmetic: one `*` per factor, `**` per power,
+    and `+` per term."""
+    ts = _RefTokens(text)
+    poly = _ref_poly(ts, arity)
+    ts.expect_end()
+    return poly
+
+
+def _ref_head_index(frag: str, offset: int) -> int:
+    ts = _RefTokens(frag, offset)
+    got, pos = ts.next()
+    m = re.fullmatch(r"y([0-9]+)", got)
+    if not m:
+        raise ParseError(f"entry must start with y<i>, found {got!r}", pos)
+    return int(m.group(1))
+
+
+def reference_parse_derivation(text: str):
+    """parse_derivation with every entry tokenized twice: once to check all
+    heads, once more to parse its body."""
+    entries = _split_entries(text)
+    n = len(entries)
+    indices = [_ref_head_index(frag, off) for frag, off in entries]
+    if sorted(indices) != list(range(1, n + 1)):
+        raise SemanticError(f"entries must cover y1..y{n} exactly once, got {sorted(indices)}")
+    a_by: dict[int, UniPoly] = {}
+    b_by: dict[int, MultiPoly] = {}
+    for frag, off in entries:
+        ts = _RefTokens(frag, off)
+        j = int(ts.next()[0][1:])
+        ts.expect(":")
+        got, pos = ts.next()
+        if got != "a":
+            raise ParseError(f"expected 'a', found {got!r}", pos)
+        ts.expect("=")
+        a_poly = _ref_poly(ts, n)
+        ts.expect(",")
+        got, pos = ts.next()
+        if got != "b":
+            raise ParseError(f"expected 'b', found {got!r}", pos)
+        ts.expect("=")
+        b_poly = _ref_poly(ts, n)
+        ts.expect_end()
+        if not a_poly.is_univariate_in_x():
+            raise SemanticError(f"a for y{j} must be a polynomial in x only")
+        a_by[j] = a_poly.as_unipoly()
+        b_by[j] = b_poly
+    if all(b.is_univariate_in_x() for b in b_by.values()):
+        return normalize([(a_by[j], b_by[j].as_unipoly()) for j in range(1, n + 1)])
+    try:
+        return TriangularDerivation(
+            n,
+            tuple(a_by[j] for j in range(1, n + 1)),
+            tuple(b_by[j] for j in range(1, n + 1)),
+        )
+    except ValueError as exc:
+        raise SemanticError(f"non-triangular dependency: {exc}") from None
+
+
+def reference_parse_endo(text: str, arity: int) -> PolyEndo:
+    """parse_endo over the reference polynomial parser."""
+    image_x: MultiPoly | None = None
+    images_y: dict[int, MultiPoly] = {}
+    for frag, off in _split_entries(text):
+        ts = _RefTokens(frag, off)
+        got, pos = ts.next()
+        ts.expect("->")
+        poly = _ref_poly(ts, arity)
+        ts.expect_end()
+        if got == "x":
+            if image_x is not None:
+                raise SemanticError("duplicate image for x")
+            image_x = poly
+            continue
+        m = re.fullmatch(r"y([0-9]+)", got)
+        if not m:
+            raise ParseError(f"entry must map x or y<i>, found {got!r}", pos)
+        j = int(m.group(1))
+        if not 1 <= j <= arity:
+            raise SemanticError(f"variable y{j} out of range for arity {arity}")
+        if j in images_y:
+            raise SemanticError(f"duplicate image for y{j}")
+        images_y[j] = poly
+    if image_x is None:
+        raise SemanticError("missing image for x")
+    missing = [j for j in range(1, arity + 1) if j not in images_y]
+    if missing:
+        raise SemanticError(f"missing images for {', '.join(f'y{j}' for j in missing)}")
+    return PolyEndo(image_x, tuple(images_y[j] for j in range(1, arity + 1)))
 
 assert NEG_INF < 0  # degree marker sanity for the oracles above

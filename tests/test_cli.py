@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import shamsuddin
 from shamsuddin import MultiPoly, UniPoly, analysis, cli, ode
 from shamsuddin.cli import run
@@ -155,6 +157,19 @@ def test_missing_file_is_semantic_error():
 def test_deeply_nested_input_is_parse_error():
     code, _, err = _run(["apply", "--deriv", SIMPLE, "--poly", "(" * 3000 + "x" + ")" * 3000])
     assert code == 2 and "nested deeper" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--deriv", "y1: a=x, b=1 ; y2: a=x, b=x", "--poly", "(y1+x+1)^256"],
+        ["apply", "--deriv", "y1: a=x, b=1 ; y2: a=x, b=x", "--poly", "((x+y1+1)^16)^16"],
+        ["simple", "--deriv", "y1: a=x, b=1 ; y2: a=x, b=(y1+x+1)^256"],
+    ],
+)
+def test_parser_work_budget_exits_3(argv):
+    code, out, err = _run(argv)
+    assert code == 3 and out == "" and "parser limit" in err
 
 
 def test_failed_preimage_check_exits_4(monkeypatch):
