@@ -12,7 +12,6 @@ from .analysis import (
     MzTag,
     MzVerdict,
     SimplicityVerdict,
-    embed_block_endo,
     is_locally_finite,
     is_simple,
     is_simple_block,
@@ -36,12 +35,10 @@ from .endos import (
     AffineEndo,
     PolyEndo,
     affine_commutes,
-    affine_inverse,
     affine_is_automorphism,
     affine_to_endo,
     commutes,
     endo_apply,
-    endo_compose,
     endo_to_affine,
 )
 from .linalg import (
@@ -52,13 +49,9 @@ from .linalg import (
     rref_rows,
 )
 from .ode import (
-    OdeSolutions,
-    ParamSolutionSpace,
     degree_bound,
     has_nonzero_k_solution,
     reduce_linear_ode,
-    solve_linear_ode,
-    solve_parametric,
 )
 from .polynomials import NEG_INF, MultiPoly, Rational, UniPoly
 from .textio import (
@@ -85,8 +78,6 @@ __all__ = [
     "MzTag",
     "MzVerdict",
     "NEG_INF",
-    "OdeSolutions",
-    "ParamSolutionSpace",
     "ParseError",
     "PolyEndo",
     "QMatrix",
@@ -97,15 +88,12 @@ __all__ = [
     "UniPoly",
     "VerificationError",
     "affine_commutes",
-    "affine_inverse",
     "affine_is_automorphism",
     "affine_to_endo",
     "apply_derivation",
     "commutes",
     "degree_bound",
-    "embed_block_endo",
     "endo_apply",
-    "endo_compose",
     "endo_to_affine",
     "format_derivation",
     "format_endo",
@@ -128,7 +116,5 @@ __all__ = [
     "reduce_linear_ode",
     "rref_rows",
     "sample_isotropy_element",
-    "solve_linear_ode",
-    "solve_parametric",
     "span_dim",
 ]

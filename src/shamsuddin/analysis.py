@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .derivations import Block, Derivation, TriangularDerivation, apply_derivation
-from .endos import AffineEndo, PolyEndo, affine_commutes, affine_is_automorphism, endo_to_affine
+from .endos import AffineEndo, affine_commutes, affine_is_automorphism
 from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
 from .ode import degree_bound, has_nonzero_k_solution, parametric_spaces, reduce_linear_ode
 from .polynomials import MultiPoly, Rational, UniPoly
@@ -64,81 +64,66 @@ def isotropy_is_trivial(d: Derivation) -> bool:
 # -- witness construction ----------------------------------------------------
 
 
-def _block_witness_endo(blk: Block, witness: Witness | None) -> PolyEndo:
-    """A non-identity automorphism of the block's own ring, fixing x and
-    commuting with the block derivation.
+def _block_witness(d: Derivation, index: int, witness: Witness | None) -> AffineEndo:
+    """A non-identity affine map x -> x, y -> C y + g(x) commuting with d.
 
-    Preference order: scale one variable whose b vanishes; for a = 0 move
-    along the antiderivative family; otherwise mix the ODE solution into the
-    first weighted coordinate.
+    It moves only the variables of block ``index``: C and g are written at
+    the block's global ``var_indices`` and are the identity elsewhere, so it
+    commutes with d as soon as it commutes with that block.  Preference
+    order: scale one variable whose b vanishes; for a = 0 move along the
+    antiderivative family; otherwise mix the ODE solution into the first
+    weighted coordinate.
     """
-    r = blk.size
+    blk = d.blocks[index]
+    n = d.arity
     e = WITNESS_SCALE
-    for j, b in enumerate(blk.bs, start=1):
-        if b.is_zero:
-            images = [MultiPoly.y(r, t) for t in range(1, r + 1)]
-            images[j - 1] = images[j - 1] * e
-            return PolyEndo(MultiPoly.x(r), tuple(images))
-    if blk.a.is_zero:
-        h1 = blk.bs[0].integral()
-        images = [MultiPoly.y(r, t) for t in range(1, r + 1)]
-        images[0] = images[0] * e - h1.lift(r) * (e - 1)
-        return PolyEndo(MultiPoly.x(r), tuple(images))
-    if witness is None:
-        raise VerificationError("non-simple block with a != 0 must carry an ODE witness")
-    k, z = witness
-    j0 = next(j for j, kj in enumerate(k) if kj)
-    if k[j0] != 1:
-        raise VerificationError(f"ODE witness weights {k} are not normalized")
-    img = MultiPoly.y(r, j0 + 1) * (1 - e) + z.lift(r) * e
-    for j, kj in enumerate(k):
-        if j != j0 and kj:
-            img = img - MultiPoly.y(r, j + 1) * (e * kj)
-    images = [MultiPoly.y(r, t) for t in range(1, r + 1)]
-    images[j0] = img
-    return PolyEndo(MultiPoly.x(r), tuple(images))
+    rows = QMatrix.identity(n).row_list()
+    gs = [UniPoly.zero()] * n
+    zero_b = next((t for b, t in zip(blk.bs, blk.var_indices) if b.is_zero), None)
+    if zero_b is not None:
+        rows[zero_b - 1][zero_b - 1] = e
+    elif blk.a.is_zero:
+        t = blk.var_indices[0] - 1
+        rows[t][t] = e
+        gs[t] = blk.bs[0].integral() * (1 - e)
+    else:
+        if witness is None:
+            raise VerificationError("non-simple block with a != 0 must carry an ODE witness")
+        k, z = witness
+        j0 = next(j for j, kj in enumerate(k) if kj)
+        if k[j0] != 1:
+            raise VerificationError(f"ODE witness weights {k} are not normalized")
+        t = blk.var_indices[j0] - 1
+        for j, kj in enumerate(k):
+            if kj:
+                rows[t][blk.var_indices[j] - 1] = 1 - e if j == j0 else -e * kj
+        gs[t] = z * e
+    return AffineEndo(Fraction(0), QMatrix(rows, cols=n), tuple(gs))
 
 
-def _check_automorphism(rho: AffineEndo | None, d: Derivation) -> None:
-    """Raise VerificationError unless rho is an affine map with det C != 0
-    that commutes with d.  Commutation is checked exactly by the univariate
-    identities of ``affine_commutes``; None (a map that is not affine) fails."""
-    if rho is None or not affine_is_automorphism(rho) or not affine_commutes(rho, d):
+def _check_automorphism(rho: AffineEndo, d: Derivation) -> None:
+    """Raise VerificationError unless det C != 0 and rho commutes with d.
+    Commutation is checked exactly by the univariate identities of
+    ``affine_commutes``."""
+    if not affine_is_automorphism(rho) or not affine_commutes(rho, d):
         raise VerificationError("isotropy map failed verification")
 
 
-def isotropy_witness(d: Derivation) -> PolyEndo | None:
+def isotropy_witness(d: Derivation) -> AffineEndo | None:
     """A non-identity automorphism commuting with d, or None when d is simple.
-    It acts inside one non-simple block, is extended by the identity elsewhere,
-    and is verified exactly (det C != 0 and commutation) before it is returned."""
+
+    The map is affine, x -> x and y -> C y + g(x).  It acts inside one
+    non-simple block, is the identity on every other variable, and is
+    verified exactly (det C != 0 and commutation) before it is returned."""
     verdict = is_simple(d)
     if verdict.simple:
         return None
     index, witness = next((i, w) for i, w in verdict.per_block if w is not None)
-    local = _block_witness_endo(d.blocks[index], witness)
-    rho = embed_block_endo(d, index, local)
-    if rho.is_identity:
+    rho = _block_witness(d, index, witness)
+    if rho == AffineEndo.identity(d.arity):
         raise VerificationError("isotropy witness failed verification")
-    _check_automorphism(endo_to_affine(rho), d)
+    _check_automorphism(rho, d)
     return rho
-
-
-def embed_block_endo(d: Derivation, block_index: int, rho_block: PolyEndo) -> PolyEndo:
-    """Extend an x-fixing endomorphism of one block's ring by the identity on
-    every other variable.  If rho_block commutes with the block's own
-    derivation, the extension commutes with the full one."""
-    blk = d.blocks[block_index]
-    r = blk.size
-    if rho_block.arity != r:
-        raise ValueError(f"block endo arity {rho_block.arity}, block size {r}")
-    if rho_block.image_of_x != MultiPoly.x(r):
-        raise ValueError("block endo must fix x")
-    n = d.arity
-    mapping = {local: blk.var_indices[local - 1] for local in range(1, r + 1)}
-    images = [MultiPoly.y(n, j) for j in range(1, n + 1)]
-    for local in range(1, r + 1):
-        images[mapping[local] - 1] = rho_block.images_of_y[local - 1].remap_y(n, mapping)
-    return PolyEndo(MultiPoly.x(n), tuple(images))
 
 
 # -- isotropy description ----------------------------------------------------
@@ -221,15 +206,15 @@ def isotropy_describe_block(a: UniPoly, bs: Sequence[UniPoly]) -> IsotropyDescri
     )
 
 
-def sample_isotropy_element(
-    desc: IsotropyDescription, seed: int = 0
-) -> AffineEndo | PolyEndo | None:
+def sample_isotropy_element(desc: IsotropyDescription, seed: int = 0) -> AffineEndo | None:
     """Draw one member of the described family, seeded and verified.
 
-    Affine cases reject draws with singular C and return None only if every
-    attempt is singular.  The a = 0 case samples the antiderivative family
-    with p constant and q affine, so its member is affine too.  A returned
-    member has det C != 0 and commutes with the block, both checked exactly;
+    Every member is an affine map.  Affine cases reject draws with singular
+    C and return None only if every attempt is singular.  The a = 0 case
+    samples the antiderivative family with p constant and q affine: a shift
+    c, and per row a nonzero scale s_t and an offset o_t give
+    y_t -> s_t y_t + h_t(x + c) - s_t h_t(x) + o_t.  A returned member has
+    det C != 0 and commutes with the block, both checked exactly;
     commutation is checked once, by the univariate identities of
     ``affine_commutes``, and a failure raises VerificationError.
     """
@@ -238,16 +223,15 @@ def sample_isotropy_element(
     block = Derivation(r, (Block(desc.a, desc.bs, tuple(range(1, r + 1))),))
     if desc.case is IsotropyCase.A_ZERO:
         shift = Fraction(rng.randint(-2, 2))
-        f = MultiPoly.x(r) + MultiPoly.const(r, shift)
-        images = []
-        for t in range(1, r + 1):
+        rows = [[Fraction(0)] * r for _ in range(r)]
+        gs = []
+        for t, ht in enumerate(desc.h):
             scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
             offset = Fraction(rng.randint(-2, 2))
-            ht = desc.h[t - 1]
-            wbar = MultiPoly.y(r, t) - ht.lift(r)
-            images.append(ht.compose(f) + wbar * scale + MultiPoly.const(r, offset))
-        rho = PolyEndo(f, tuple(images))
-        _check_automorphism(endo_to_affine(rho), block)
+            rows[t][t] = scale
+            gs.append(ht.shift(shift) - ht * scale + offset)
+        rho = AffineEndo(shift, QMatrix(rows, cols=r), tuple(gs))
+        _check_automorphism(rho, block)
         return rho
     for _ in range(_SAMPLE_ATTEMPTS):
         c = Fraction(0) if desc.shift_forced_zero else Fraction(rng.randint(-3, 3))

@@ -32,7 +32,7 @@ from .analysis import (
     sample_isotropy_element,
 )
 from .derivations import Derivation, apply_derivation
-from .endos import AffineEndo, affine_to_endo, commutes
+from .endos import affine_to_endo, commutes
 from .linalg import VerificationError
 from .textio import ParseError, SemanticError, format_endo, parse_derivation, parse_endo, parse_poly
 
@@ -141,7 +141,7 @@ def _cmd_isotropy(args):
         if rho is None:
             lines.append("witness: none (isotropy is trivial)")
         else:
-            text = format_endo(rho)
+            text = format_endo(affine_to_endo(rho))
             lines.append(f"witness: {text}")
             payload["witness"] = text
     return lines, payload, trivial
@@ -176,8 +176,7 @@ def _cmd_describe(args):
         lines.append("sample: none (every draw was singular)")
         payload["sample"] = None
     else:
-        rho = affine_to_endo(sample) if isinstance(sample, AffineEndo) else sample
-        text = format_endo(rho)
+        text = format_endo(affine_to_endo(sample))
         lines.append(f"sample: {text}")
         payload["sample"] = text
     return lines, payload, None

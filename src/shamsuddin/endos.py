@@ -6,10 +6,12 @@ the generators that way, for any derivation and any map.
 
 ``AffineEndo`` is the family x -> x + c, y_t -> sum_j C[t][j] y_j + g0_t(x);
 it is an automorphism exactly when C is invertible, and then its inverse is
-affine again.  Every map the library prints has this shape: each commuting
+affine again.  It is the library's one isotropy map type: each commuting
 automorphism of a Shamsuddin derivation with a != 0 is affine, and so are the
-a = 0 samples and every witness.  For such a map and D(y_t) = a_t y_t + b_t,
-commutation on the generators is exactly two univariate identities per row t,
+a = 0 samples and every witness, which are built, checked and returned as
+``AffineEndo`` (``affine_to_endo`` gives the ``PolyEndo`` that is printed).
+For such a map and D(y_t) = a_t y_t + b_t, commutation on the generators is
+exactly two univariate identities per row t,
 
     a_j(x) = a_t(x + c)                                 whenever C[t][j] != 0,
     sum_j C[t][j] b_j + g0_t' = a_t(x + c) g0_t + b_t(x + c),
@@ -66,14 +68,6 @@ def endo_apply(rho: PolyEndo, f: MultiPoly) -> MultiPoly:
     if f.arity != rho.arity:
         raise ValueError(f"arity mismatch: endo {rho.arity}, polynomial {f.arity}")
     return f.substitute(rho.images())
-
-
-def endo_compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
-    """The ring map v -> outer(inner(v))."""
-    return PolyEndo(
-        endo_apply(outer, inner.image_of_x),
-        tuple(endo_apply(outer, g) for g in inner.images_of_y),
-    )
 
 
 def commutes(rho: PolyEndo, d: AnyDerivation) -> bool:
@@ -164,27 +158,9 @@ def affine_to_endo(rho: AffineEndo) -> PolyEndo:
     return PolyEndo(fx, tuple(ys))
 
 
-def affine_inverse(rho: AffineEndo) -> AffineEndo:
-    """Inverse of an invertible affine map: x -> x - c, y -> C^-1 (y - g0(x - c))."""
-    inv = rho.C.inverse()
-    if inv is None:
-        raise ValueError("singular C: not an automorphism")
-    shifted = [g.shift(-rho.c) for g in rho.g0]
-    g0 = []
-    for t in range(rho.arity):
-        acc = UniPoly.zero()
-        for j in range(rho.arity):
-            entry = inv.entry(t, j)
-            if entry:
-                acc = acc + shifted[j] * (-entry)
-        g0.append(acc)
-    return AffineEndo(-rho.c, inv, tuple(g0))
-
-
 def endo_to_affine(rho: PolyEndo) -> AffineEndo | None:
     """Recognize the affine-in-y shape; None if the endo is not of that form."""
     n = rho.arity
-    c = None
     fx = rho.image_of_x.terms()
     x_key = tuple([1] + [0] * n)
     const_key = (0,) * (n + 1)

@@ -124,17 +124,6 @@ class QMatrix:
         particular = _back_substitute(ech, pivots, self.cols, rhs=self.cols)
         return AffineSpace(particular, _nullspace(ech, pivots, self.cols))
 
-    def inverse(self) -> "QMatrix | None":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._e)]
-        ech, pivots, _ = _ff_echelon(_int_rows(aug), n)
-        if len(pivots) < n:
-            return None
-        cols = [_back_substitute(ech, pivots, n, rhs=n + j) for j in range(n)]
-        return QMatrix([[cols[j][i] for j in range(n)] for i in range(n)], cols=n)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QMatrix):
             return self._e == other._e and self.cols == other.cols

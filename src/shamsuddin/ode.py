@@ -6,56 +6,17 @@ z' = a z + sum_j k_j b_j, the polynomial case of the parametric Risch
 equation, reduces each b_j once by that recurrence; what is left is a linear
 system R in the k_j alone, with one row per power of x below deg a.  The
 simplicity witness (has_nonzero_k_solution) is the first reduced row of the
-kernel of R; solve_parametric gives the full solution space.
+kernel of R; parametric_spaces gives the solution sets of the same equation
+with extra target terms, which are the rows of the isotropy description.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .linalg import AffineSpace, QMatrix, Vector, VerificationError, echelon_affine, rref_rows
 from .polynomials import NEG_INF, Rational, UniPoly
-
-
-@dataclass(frozen=True)
-class OdeSolutions:
-    """Complete polynomial solution set of one ODE z' = a z + c.
-
-    ``particular`` is None when no polynomial solution exists.  The
-    homogeneous equation z' = a z has polynomial solutions exactly when a = 0
-    (the constants), so homogeneous_dim is 1 iff a = 0 and 0 otherwise.
-    """
-
-    particular: UniPoly | None
-    homogeneous_dim: int
-
-
-@dataclass(frozen=True)
-class ParamSolutionSpace:
-    """Solution space of the homogeneous system in (k_1..k_r, coeffs of z).
-
-    Each basis element is a pair (k, z) with z' = a z + sum_j k_j b_j holding
-    exactly; the system is linear and homogeneous, so the zero pair is the
-    offset and arbitrary combinations of basis pairs are again solutions.
-    """
-
-    num_params: int
-    z_bound: int | None  # max degree allotted to z; None means z = 0 forced
-    basis: tuple[tuple[tuple[Rational, ...], UniPoly], ...]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.num_params + (self.z_bound + 1 if self.z_bound is not None else 0)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def offset(self) -> tuple[tuple[Rational, ...], UniPoly]:
-        return ((Fraction(0),) * self.num_params, UniPoly.zero())
 
 
 def degree_bound(a: UniPoly, cs: Sequence[UniPoly]) -> int | None:
@@ -106,19 +67,6 @@ def reduce_linear_ode(a: UniPoly, c: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(z), UniPoly(enumerate(rem[:d]))
 
 
-def solve_linear_ode(a: UniPoly, c: UniPoly) -> OdeSolutions:
-    """All polynomial solutions of z' = a(x) z + c(x).
-
-    a = 0: antiderivative of c (zero constant term) plus the constants.
-    a != 0: at most one solution; reduce c against z' - a z and accept iff
-    the remainder vanishes.
-    """
-    if a.is_zero:
-        return OdeSolutions(c.integral(), 1)
-    z, r = reduce_linear_ode(-a, c)
-    return OdeSolutions(z if r.is_zero else None, 0)
-
-
 def _reduce_block(
     a: UniPoly, cs: Sequence[UniPoly]
 ) -> tuple[list[tuple[UniPoly, UniPoly]], list[list[Rational]]]:
@@ -166,20 +114,6 @@ def parametric_spaces(
         points.append(None if space is None else pair(space.particular, w))
     spaces = iter(echelon_affine(kernel, [p for p in points if p is not None]))
     return tuple(None if p is None else next(spaces) for p in points)
-
-
-def solve_parametric(a: UniPoly, bs: Sequence[UniPoly]) -> ParamSolutionSpace:
-    """Basis of all pairs (k, z) with z' = a z + sum_j k_j b_j.
-
-    The k-projection of this space is exactly the set of admissible weight
-    vectors; has_nonzero_k_solution finds one nonzero k without building it.
-    """
-    if not bs:
-        raise ValueError("need at least one b")
-    r = len(bs)
-    (space,) = parametric_spaces(a, bs, [UniPoly.zero()])
-    pairs = tuple((tuple(vec[:r]), UniPoly(enumerate(vec[r:]))) for vec in space.basis)
-    return ParamSolutionSpace(r, degree_bound(a, bs), pairs)
 
 
 def has_nonzero_k_solution(

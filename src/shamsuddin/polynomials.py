@@ -13,6 +13,7 @@ function, so instances may be shared freely between threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -154,17 +155,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "UniPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = UniPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(self, exponent, UniPoly.one())
 
     # -- calculus ----------------------------------------------------------
 
@@ -200,14 +191,6 @@ class UniPoly:
             acc += v * p**d
         return acc
 
-    def compose(self, arg: "MultiPoly") -> "MultiPoly":
-        """Substitute a multivariate polynomial for x (Horner evaluation)."""
-        acc = MultiPoly.zero(arg.arity)
-        if self._c:
-            for d in range(int(self.degree), -1, -1):
-                acc = acc * arg + MultiPoly.const(arg.arity, self.coeff(d))
-        return acc
-
     def lift(self, arity: int) -> "MultiPoly":
         """View as a MultiPoly in x, y1..y<arity> (no y dependence)."""
         pad = (0,) * arity
@@ -231,6 +214,24 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
+
+
+def _square_and_multiply(base, exponent: int, one, mul=operator.mul):
+    """base**exponent over the bits of exponent, low to high: a set bit
+    multiplies the base into the result (the first takes it as it is), and
+    the base is squared only while a higher bit remains.  ``one`` is the
+    value at exponent 0; ``mul`` does every product (the parser's checks its
+    work budget)."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return one if result is None else result
 
 
 def _coerce_uni(value):
@@ -402,17 +403,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.one(self.arity)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(self, exponent, MultiPoly.one(self.arity))
 
     # -- calculus and substitution -----------------------------------------
 
@@ -455,18 +446,6 @@ class MultiPoly:
                     term = term * power(var, e)
             acc = acc + term
         return acc
-
-    def remap_y(self, new_arity: int, mapping: Mapping[int, int]) -> "MultiPoly":
-        """Renumber y variables (old 1-based index -> new 1-based index); x is kept."""
-        t: dict[tuple[int, ...], Rational] = {}
-        for e, v in self._t.items():
-            out = [0] * (new_arity + 1)
-            out[0] = e[0]
-            for j in range(1, self.arity + 1):
-                if e[j]:
-                    out[mapping[j]] = e[j]
-            t[tuple(out)] = v
-        return MultiPoly(new_arity, t)
 
     # -- protocol ----------------------------------------------------------
 

@@ -25,7 +25,8 @@ arithmetic.  Only parenthesised factors are multiplied (and raised to powers)
 as ``MultiPoly``; each such product of an m-term by a k-term polynomial must
 keep m*k within ``MAX_TERM_PAIRS``, or parsing stops with a
 ``SemanticError`` (exit 3 in the CLI).  Exponents are capped at
-``MAX_EXPONENT`` and nesting at ``MAX_DEPTH``.
+``MAX_EXPONENT``, numbers and y indices at ``MAX_DIGITS`` digits, and
+nesting at ``MAX_DEPTH``.
 
 Serialization is canonical: terms sorted by exponent vector descending
 (x-degree first, then y1, y2, ...), coefficients as reduced fractions, so
@@ -39,6 +40,7 @@ import re
 from .derivations import AnyDerivation, Derivation, TriangularDerivation, normalize
 from .endos import PolyEndo
 from .polynomials import _ZERO, MultiPoly, Rational, Scalar, UniPoly, _raw_multi
+from .polynomials import _square_and_multiply
 
 
 class ParseError(ValueError):
@@ -60,6 +62,10 @@ _Y_VAR = re.compile(r"y([0-9]+)")
 # parser-level guard against pathological inputs like (x+1)^999999; the
 # library API itself has no degree limit
 MAX_EXPONENT = 256
+
+# digit limit of a number or a y<index>: CPython's int() refuses longer digit
+# strings by default, so the parser stops there itself, with a position
+MAX_DIGITS = 4300
 
 # parenthesis nesting limit: the parser recurses once per level, so deeper
 # input would exhaust the interpreter stack
@@ -106,11 +112,17 @@ class _Tokens:
             raise ParseError(f"unexpected trailing input {got!r}", pos)
 
 
+def _int(digits: str, pos: int) -> int:
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"{len(digits)} digits exceed the parser limit {MAX_DIGITS}", pos)
+    return int(digits)
+
+
 def _parse_nat(ts: _Tokens, what: str) -> int:
     got, pos = ts.next()
     if not got.isdigit():
         raise ParseError(f"expected {what}, found {got!r}", pos)
-    return int(got)
+    return _int(got, pos)
 
 
 def _parse_exponent(ts: _Tokens) -> int:
@@ -137,14 +149,8 @@ def _product(p: MultiPoly, q: MultiPoly, pos: int) -> MultiPoly:
 def _power(base: MultiPoly, exponent: int, pos: int) -> MultiPoly:
     """base**exponent by the square-and-multiply steps of MultiPoly.__pow__
     (so the terms come out in the same order), each step within the budget."""
-    result = None
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else _product(result, base, pos)
-        exponent >>= 1
-        if exponent:
-            base = _product(base, base, pos)
-    return MultiPoly.one(base.arity) if result is None else result
+    one = MultiPoly.one(base.arity)
+    return _square_and_multiply(base, exponent, one, lambda p, q: _product(p, q, pos))
 
 
 def _parse_term(ts: _Tokens, arity: int) -> list[tuple[tuple[int, ...], Scalar]]:
@@ -161,7 +167,7 @@ def _parse_term(ts: _Tokens, arity: int) -> list[tuple[tuple[int, ...], Scalar]]
     while True:
         got, pos = ts.next()
         if got.isdigit():
-            value: Scalar = int(got)
+            value: Scalar = _int(got, pos)
             if ts.peek() == "/":
                 ts.next()
                 den = _parse_nat(ts, "a denominator")
@@ -184,7 +190,7 @@ def _parse_term(ts: _Tokens, arity: int) -> list[tuple[tuple[int, ...], Scalar]]
             m = _Y_VAR.fullmatch(got)
             if not m:
                 raise ParseError(f"expected a number, variable, or '(', found {got!r}", pos)
-            j = int(m.group(1))
+            j = _int(m.group(1), pos)
             if not 1 <= j <= arity:
                 raise ParseError(f"unknown variable {got!r} (arity {arity})", pos)
             exps[j] += _parse_exponent(ts)
@@ -247,7 +253,7 @@ def _entry_head(frag: str, offset: int) -> tuple[_Tokens, int]:
     m = _Y_VAR.fullmatch(got)
     if not m:
         raise ParseError(f"entry must start with y<i>, found {got!r}", pos)
-    return ts, int(m.group(1))
+    return ts, _int(m.group(1), pos)
 
 
 def parse_derivation(text: str) -> AnyDerivation:
@@ -308,7 +314,7 @@ def parse_endo(text: str, arity: int) -> PolyEndo:
         m = _Y_VAR.fullmatch(got)
         if not m:
             raise ParseError(f"entry must map x or y<i>, found {got!r}", pos)
-        j = int(m.group(1))
+        j = _int(m.group(1), pos)
         if not 1 <= j <= arity:
             raise SemanticError(f"variable y{j} out of range for arity {arity}")
         if j in images_y:

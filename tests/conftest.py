@@ -6,25 +6,31 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from shamsuddin import (
+    AffineEndo,
     Derivation,
     MultiPoly,
     ParseError,
     PolyEndo,
     QMatrix,
+    Rational,
     SemanticError,
     TriangularDerivation,
     UniPoly,
     apply_derivation,
     degree_bound,
+    endo_apply,
+    linalg,
     normalize,
+    reduce_linear_ode,
     rref_rows,
-    solve_parametric,
 )
+from shamsuddin.ode import parametric_spaces
 from shamsuddin.polynomials import NEG_INF
 from shamsuddin.textio import MAX_DEPTH, MAX_EXPONENT, _split_entries
 
@@ -279,6 +285,120 @@ def fraction_rref_rank(matrix: QMatrix) -> int:
         rank += 1
     return rank
 
+
+
+# -- solvers and maps the library no longer exports ------------------------------
+
+
+@dataclass(frozen=True)
+class OdeSolutions:
+    """Complete polynomial solution set of one ODE z' = a z + c.
+
+    ``particular`` is None when no polynomial solution exists.  The
+    homogeneous equation z' = a z has polynomial solutions exactly when a = 0
+    (the constants), so homogeneous_dim is 1 iff a = 0 and 0 otherwise.
+    """
+
+    particular: UniPoly | None
+    homogeneous_dim: int
+
+
+def solve_linear_ode(a: UniPoly, c: UniPoly) -> OdeSolutions:
+    """All polynomial solutions of z' = a(x) z + c(x).
+
+    a = 0: antiderivative of c (zero constant term) plus the constants.
+    a != 0: at most one solution; reduce c against z' - a z and accept iff
+    the remainder vanishes.
+    """
+    if a.is_zero:
+        return OdeSolutions(c.integral(), 1)
+    z, r = reduce_linear_ode(-a, c)
+    return OdeSolutions(z if r.is_zero else None, 0)
+
+
+@dataclass(frozen=True)
+class ParamSolutionSpace:
+    """Solution space of the homogeneous system in (k_1..k_r, coeffs of z).
+
+    Each basis element is a pair (k, z) with z' = a z + sum_j k_j b_j holding
+    exactly; the system is linear and homogeneous, so the zero pair is the
+    offset and arbitrary combinations of basis pairs are again solutions.
+    """
+
+    num_params: int
+    z_bound: int | None  # max degree allotted to z; None means z = 0 forced
+    basis: tuple[tuple[tuple[Rational, ...], UniPoly], ...]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.num_params + (self.z_bound + 1 if self.z_bound is not None else 0)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def offset(self) -> tuple[tuple[Rational, ...], UniPoly]:
+        return ((Fraction(0),) * self.num_params, UniPoly.zero())
+
+
+def solve_parametric(a: UniPoly, bs) -> ParamSolutionSpace:
+    """Basis of all pairs (k, z) with z' = a z + sum_j k_j b_j, read off the
+    library's parametric_spaces with the single target 0."""
+    if not bs:
+        raise ValueError("need at least one b")
+    r = len(bs)
+    (space,) = parametric_spaces(a, bs, [UniPoly.zero()])
+    pairs = tuple((tuple(vec[:r]), UniPoly(enumerate(vec[r:]))) for vec in space.basis)
+    return ParamSolutionSpace(r, degree_bound(a, bs), pairs)
+
+
+def compose(u: UniPoly, arg: MultiPoly) -> MultiPoly:
+    """u(arg): substitute a multivariate polynomial for x (Horner evaluation)."""
+    acc = MultiPoly.zero(arg.arity)
+    if not u.is_zero:
+        for d in range(int(u.degree), -1, -1):
+            acc = acc * arg + MultiPoly.const(arg.arity, u.coeff(d))
+    return acc
+
+
+def endo_compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
+    """The ring map v -> outer(inner(v))."""
+    return PolyEndo(
+        endo_apply(outer, inner.image_of_x),
+        tuple(endo_apply(outer, g) for g in inner.images_of_y),
+    )
+
+
+def matrix_inverse(matrix: QMatrix) -> QMatrix | None:
+    """Inverse of a square matrix by one Bareiss elimination of [A | I], or
+    None when A is singular."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = matrix.rows
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(matrix.row_list())]
+    ech, pivots, _ = linalg._ff_echelon(linalg._int_rows(aug), n)
+    if len(pivots) < n:
+        return None
+    cols = [linalg._back_substitute(ech, pivots, n, rhs=n + j) for j in range(n)]
+    return QMatrix([[cols[j][i] for j in range(n)] for i in range(n)], cols=n)
+
+
+def affine_inverse(rho: AffineEndo) -> AffineEndo:
+    """Inverse of an invertible affine map: x -> x - c, y -> C^-1 (y - g0(x - c))."""
+    inv = matrix_inverse(rho.C)
+    if inv is None:
+        raise ValueError("singular C: not an automorphism")
+    shifted = [g.shift(-rho.c) for g in rho.g0]
+    g0 = []
+    for t in range(rho.arity):
+        acc = UniPoly.zero()
+        for j in range(rho.arity):
+            entry = inv.entry(t, j)
+            if entry:
+                acc = acc + shifted[j] * (-entry)
+        g0.append(acc)
+    return AffineEndo(-rho.c, inv, tuple(g0))
 
 
 # -- reference parser: the MultiPoly-arithmetic parser the term-level one replaced

@@ -19,6 +19,7 @@ from conftest import (
     rand_multipoly_in_prefix,
     rand_triangular,
     rand_unipoly,
+    solve_parametric,
 )
 from shamsuddin import (
     Derivation,
@@ -30,8 +31,8 @@ from shamsuddin import (
     SemanticError,
     UniPoly,
     affine_is_automorphism,
+    affine_to_endo,
     commutes,
-    endo_to_affine,
     format_derivation,
     format_endo,
     format_poly,
@@ -47,7 +48,6 @@ from shamsuddin import (
     parse_poly,
     preimage_bounded,
     rref_rows,
-    solve_parametric,
     span_dim,
 )
 
@@ -125,10 +125,9 @@ def test_criterion_1_simplicity_isotropy_equivalence():
                 assert _bounded_affine_commutant_is_identity_only(d), format_derivation(d)
             else:
                 rho = isotropy_witness(d)
-                assert rho is not None and not rho.is_identity
-                assert commutes(rho, d)
-                affine = endo_to_affine(rho)
-                assert affine is not None and affine_is_automorphism(affine)
+                assert rho is not None and not affine_to_endo(rho).is_identity
+                assert commutes(affine_to_endo(rho), d)
+                assert affine_is_automorphism(rho)
         assert len(corpus) >= 500
         assert 0 < n_simple < len(corpus)  # both directions genuinely exercised
 
@@ -168,7 +167,7 @@ def test_criterion_3_known_instances():
 
         # D = d/dx + (y1 + x) d/dy1: witness (x, -y1 - 2x - 2)
         d2 = normalize([(ONE, X)])
-        rho2 = isotropy_witness(d2)
+        rho2 = affine_to_endo(isotropy_witness(d2))
         assert rho2 == PolyEndo(
             MultiPoly.x(1), (-MultiPoly.y(1, 1) - 2 * MultiPoly.x(1) - 2,)
         )
@@ -176,13 +175,13 @@ def test_criterion_3_known_instances():
 
         # D = d/dx + y1 d/dy1: witness (x, 2 y1)
         d3 = normalize([(ONE, ZERO)])
-        rho3 = isotropy_witness(d3)
+        rho3 = affine_to_endo(isotropy_witness(d3))
         assert rho3 == PolyEndo(MultiPoly.x(1), (2 * MultiPoly.y(1, 1),))
         assert commutes(rho3, d3)
 
         # D = d/dx + d/dy1: antiderivative-family member (x, 2 y1 - x)
         d4 = normalize([(ZERO, ONE)])
-        rho4 = isotropy_witness(d4)
+        rho4 = affine_to_endo(isotropy_witness(d4))
         assert rho4 == PolyEndo(MultiPoly.x(1), (2 * MultiPoly.y(1, 1) - MultiPoly.x(1),))
         assert commutes(rho4, d4)
 

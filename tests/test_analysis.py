@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import shamsuddin
 from conftest import (
+    compose,
     dense_preimage_oracle,
     derivations,
     iso_rows_oracle,
@@ -19,20 +20,21 @@ from conftest import (
 )
 from shamsuddin import analysis, linalg, ode
 from shamsuddin import (
+    AffineEndo,
     Derivation,
     IsotropyCase,
     MultiPoly,
     MzTag,
     PolyEndo,
+    QMatrix,
     TriangularDerivation,
     UniPoly,
     VerificationError,
+    affine_commutes,
     affine_is_automorphism,
     affine_to_endo,
     apply_derivation,
     commutes,
-    embed_block_endo,
-    endo_to_affine,
     is_locally_finite,
     is_simple,
     is_simple_block,
@@ -131,15 +133,17 @@ def test_known_witnesses():
     expected = PolyEndo(
         MultiPoly.x(1), (-MultiPoly.y(1, 1) - 2 * MultiPoly.x(1) - 2,)
     )
-    assert rho == expected
+    assert affine_to_endo(rho) == expected
 
     # b = 0: scaling
     rho = isotropy_witness(normalize([(ONE, ZERO)]))
-    assert rho == PolyEndo(MultiPoly.x(1), (2 * MultiPoly.y(1, 1),))
+    assert affine_to_endo(rho) == PolyEndo(MultiPoly.x(1), (2 * MultiPoly.y(1, 1),))
 
     # a = 0: antiderivative family
     rho = isotropy_witness(normalize([(ZERO, ONE)]))
-    assert rho == PolyEndo(MultiPoly.x(1), (2 * MultiPoly.y(1, 1) - MultiPoly.x(1),))
+    assert affine_to_endo(rho) == PolyEndo(
+        MultiPoly.x(1), (2 * MultiPoly.y(1, 1) - MultiPoly.x(1),)
+    )
 
     assert isotropy_witness(normalize([(X, ONE)])) is None
 
@@ -153,10 +157,12 @@ def test_witness_invertibility_checked_in_library(monkeypatch):
 def test_witness_for_multi_block():
     d = normalize([(X, ONE), (ONE, X)])
     rho = isotropy_witness(d)
-    assert rho is not None and not rho.is_identity
-    assert commutes(rho, d)
+    assert isinstance(rho, AffineEndo)
+    endo = affine_to_endo(rho)
+    assert not endo.is_identity
+    assert commutes(endo, d)
     # the simple block keeps its variable fixed
-    assert rho.images_of_y[0] == MultiPoly.y(2, 1)
+    assert endo.images_of_y[0] == MultiPoly.y(2, 1)
 
 
 @settings(max_examples=80)
@@ -167,39 +173,52 @@ def test_witness_equivalence(d):
     if verdict.simple:
         assert rho is None
     else:
-        assert rho is not None and not rho.is_identity
-        assert commutes(rho, d)
-        affine = endo_to_affine(rho)
-        assert affine is None or affine_is_automorphism(affine)
+        assert isinstance(rho, AffineEndo)
+        endo = affine_to_endo(rho)
+        assert not endo.is_identity
+        assert commutes(endo, d)
+        assert affine_is_automorphism(rho)
 
 
-def test_embed_block_endo():
-    d = normalize([(ONE, ZERO), (X, ONE)])
-    ident = embed_block_endo(d, 0, PolyEndo.identity(1))
-    assert ident.is_identity
-
-    scale = PolyEndo(MultiPoly.x(1), (2 * MultiPoly.y(1, 1),))
-    rho = embed_block_endo(d, 0, scale)
-    assert rho == PolyEndo(
-        MultiPoly.x(2), (2 * MultiPoly.y(2, 1), MultiPoly.y(2, 2))
+@pytest.mark.parametrize(
+    "pairs, moved",
+    [
+        # block a = x owns y1 and y3, with kernel k = (1, -1): y1 -> -y1 + 2*y3
+        ([(X, ONE), (X + 1, ONE), (X, ONE)], {1: {1: -1, 3: 2}}),
+        # the same block with b3 = 0 scales y3 alone
+        ([(X, ONE), (X + 1, ONE), (X, ZERO)], {3: {3: 2}}),
+        # block a = 0 owns y1 and y3: y1 -> 2*y1 - x^2/2 moves along h1 = x^2/2
+        ([(ZERO, X), (X, ONE), (ZERO, ONE)], {1: {1: 2}}),
+    ],
+    ids=["ode_witness", "b_zero", "a_zero"],
+)
+def test_witness_moves_only_its_block(pairs, moved):
+    """The witness is written at the global indices of a non-simple block
+    whose variables are interleaved with another block's: it changes only
+    the rows named in moved, and there only the block's own columns."""
+    d = normalize(pairs)
+    (block,) = [blk for blk in d.blocks if blk.var_indices == (1, 3)]
+    rho = isotropy_witness(d)
+    assert isinstance(rho, AffineEndo) and rho.c == 0
+    for t in range(1, d.arity + 1):
+        row = {j: rho.C.entry(t - 1, j - 1) for j in range(1, d.arity + 1) if rho.C.entry(t - 1, j - 1)}
+        if t in moved:
+            assert row == moved[t] and set(row) <= set(block.var_indices)
+        else:
+            assert row == {t: 1} and rho.g0[t - 1].is_zero
+    assert affine_commutes(rho, d) and commutes(affine_to_endo(rho), d)
+    # the same C and g written at the block's local indices 1, 2 would act on
+    # y2 of the other block; that map does not commute, unless the witness
+    # moves only y1, which has index 1 either way
+    local = AffineEndo(
+        rho.c,
+        QMatrix([[rho.C.entry(i, j) for j in (0, 2, 1)] for i in (0, 2, 1)], cols=3),
+        (rho.g0[0], rho.g0[2], rho.g0[1]),
     )
-    assert commutes(rho, d)
-
-    moved = PolyEndo(MultiPoly.x(1) + 1, (MultiPoly.y(1, 1),))
-    with pytest.raises(ValueError):
-        embed_block_endo(d, 0, moved)
-
-
-def test_embed_respects_variable_numbering():
-    # block 0 owns y1 and y3; block 1 owns y2
-    d = normalize([(X, ONE), (X + 1, ZERO), (X, X)])
-    swap = PolyEndo(
-        MultiPoly.x(2), (MultiPoly.y(2, 2), MultiPoly.y(2, 1))
-    )  # swap the two block variables
-    rho = embed_block_endo(d, 0, swap)
-    assert rho.images_of_y[0] == MultiPoly.y(3, 3)
-    assert rho.images_of_y[2] == MultiPoly.y(3, 1)
-    assert rho.images_of_y[1] == MultiPoly.y(3, 2)
+    if set(moved) == {1} and set(moved[1]) == {1}:
+        assert local == rho
+    else:
+        assert not affine_commutes(local, d) and not commutes(affine_to_endo(local), d)
 
 
 def test_describe_constant_a():
@@ -230,8 +249,8 @@ def test_describe_zero_a():
     assert desc.case is IsotropyCase.A_ZERO
     assert desc.h == (X,)
     member = sample_isotropy_element(desc, seed=3)
-    assert isinstance(member, PolyEndo)
-    assert commutes(member, normalize([(ZERO, ONE)]))
+    assert isinstance(member, AffineEndo)
+    assert commutes(affine_to_endo(member), normalize([(ZERO, ONE)]))
 
 
 @settings(max_examples=40)
@@ -241,9 +260,9 @@ def test_sampled_members_always_commute(a, bs, seed):
     member = sample_isotropy_element(desc, seed=seed)
     if member is None:
         return
-    rho = member if isinstance(member, PolyEndo) else affine_to_endo(member)
+    assert isinstance(member, AffineEndo)
     block = normalize([(a, b) for b in bs])
-    assert commutes(rho, block)
+    assert commutes(affine_to_endo(member), block)
 
 
 def test_sample_is_seed_deterministic():
@@ -259,8 +278,7 @@ def test_describe_row_spaces_sound_and_complete():
 
     from fractions import Fraction
 
-    from conftest import affine_space_contains
-    from shamsuddin import solve_linear_ode
+    from conftest import affine_space_contains, solve_linear_ode
 
     cases = [(ONE, [X]), (X**2, [X**2]), (X, [ONE, X])]
     for a, bs in cases:
@@ -342,8 +360,8 @@ def test_zero_a_family_nonaffine_member_commutes():
     rho = PolyEndo(
         f,
         (
-            h1.compose(f) + (y1 - h1.lift(n)),
-            h2.compose(f) + (y2 - h2.lift(n)),
+            compose(h1, f) + (y1 - h1.lift(n)),
+            compose(h2, f) + (y2 - h2.lift(n)),
         ),
     )
     assert rho.images_of_y[1].total_y_degree == 2  # not affine in y

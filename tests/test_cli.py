@@ -160,6 +160,22 @@ def test_deeply_nested_input_is_parse_error():
 
 
 @pytest.mark.parametrize(
+    "argv, pos",
+    [
+        (["apply", "--deriv", "y1: a=x, b=1", "--poly", "x + " + "1" * 5000], 4),
+        (["simple", "--deriv", "y1: a=x, b=1 ; y" + "2" * 5000 + ": a=1, b=x"], 15),
+        (["commute", "--deriv", "y1: a=1, b=0", "--endo", "x -> x ; y" + "1" * 5000 + " -> y1"], 9),
+    ],
+    ids=["poly", "deriv", "endo"],
+)
+def test_overlong_number_is_parse_error(argv, pos):
+    # int() itself refuses digit strings this long; the parser stops first
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    assert err == f"parse error: 5000 digits exceed the parser limit 4300 (at position {pos})\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["apply", "--deriv", "y1: a=x, b=1 ; y2: a=x, b=x", "--poly", "(y1+x+1)^256"],

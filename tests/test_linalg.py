@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exhaustive_nonneg_kernel, fraction_rref_rank, q_matrices, small_ints
+from conftest import exhaustive_nonneg_kernel, fraction_rref_rank, matrix_inverse, q_matrices, small_ints
 from shamsuddin import QMatrix, linalg, nonneg_kernel_witness, rref_rows
 
 
@@ -66,7 +66,7 @@ def test_det_and_inverse(n, data):
     matrix = QMatrix(entries, cols=n)
     det = matrix.det()
     assert (det != 0) == (matrix.rank() == n)
-    inv = matrix.inverse()
+    inv = matrix_inverse(matrix)
     if det == 0:
         assert inv is None
     else:
@@ -96,8 +96,8 @@ def test_each_solve_eliminates_once(monkeypatch):
         lambda: wide.solve_affine([1, 2]),
         lambda: singular.solve_affine([1, 1, 1]),
         lambda: QMatrix([], cols=2).solve_affine([]),
-        invertible.inverse,
-        singular.inverse,
+        lambda: matrix_inverse(invertible),
+        lambda: matrix_inverse(singular),
     ]
     for run in runs:
         calls.clear()

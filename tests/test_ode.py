@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_ode_solutions, brute_param_nullspace, rationals, rref_witness_oracle, unipolys
-from shamsuddin import (
-    UniPoly,
-    degree_bound,
-    has_nonzero_k_solution,
-    reduce_linear_ode,
-    rref_rows,
+from conftest import (
+    brute_ode_solutions,
+    brute_param_nullspace,
+    rationals,
+    rref_witness_oracle,
     solve_linear_ode,
     solve_parametric,
+    unipolys,
 )
+from shamsuddin import UniPoly, degree_bound, has_nonzero_k_solution, reduce_linear_ode, rref_rows
 
 X = UniPoly.x()
 ONE = UniPoly.one()

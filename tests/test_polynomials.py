@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import multipolys, rationals, unipolys
+from conftest import compose, multipolys, rationals, unipolys
 from shamsuddin import MultiPoly, NEG_INF, UniPoly
 
 X = UniPoly.x()
@@ -88,6 +88,38 @@ def test_unipoly_pow(a, e):
     assert a**e == expected
 
 
+@given(multipolys(arity=2, max_deg=2, max_terms=4), st.integers(0, 6))
+def test_multipoly_pow(f, e):
+    expected = MultiPoly.one(2)
+    for _ in range(e):
+        expected = expected * f
+    assert f**e == expected
+
+
+@pytest.mark.parametrize(
+    "base, one",
+    [(UniPoly.x() + 1, UniPoly.one()), (MultiPoly.x(2) + 1, MultiPoly.one(2))],
+    ids=["UniPoly", "MultiPoly"],
+)
+def test_pow_squares_only_while_bits_remain(monkeypatch, base, one):
+    # 205 = 0b11001101: 7 squarings and 4 products into the result; the
+    # first set bit takes the base itself and the top bit needs no squaring
+    cls = type(base)
+    calls = []
+    original = cls.__mul__
+    monkeypatch.setattr(cls, "__mul__", lambda p, q: calls.append(1) or original(p, q))
+    power = base**205
+    assert len(calls) == 11
+    monkeypatch.undo()
+    expected = base
+    for _ in range(204):
+        expected = expected * base
+    assert power == expected
+    assert base**0 == one and base**1 == base
+    with pytest.raises(ValueError):
+        base ** -1
+
+
 @given(unipolys(), st.integers(0, 3))
 def test_lift_round_trip(u, arity):
     lifted = u.lift(arity)
@@ -97,12 +129,12 @@ def test_lift_round_trip(u, arity):
 
 @given(unipolys())
 def test_compose_with_x_is_identity(u):
-    assert u.compose(MultiPoly.x(2)) == u.lift(2)
+    assert compose(u, MultiPoly.x(2)) == u.lift(2)
 
 
 @given(unipolys(max_deg=3), unipolys(max_deg=2), rationals)
 def test_compose_matches_evaluation(u, inner, point):
-    composed = u.compose(inner.lift(0))
+    composed = compose(u, inner.lift(0))
     assert composed.as_unipoly()(point) == u(inner(point))
 
 
@@ -149,12 +181,6 @@ def test_arity_mismatch_rejected():
         MultiPoly.x(1) + MultiPoly.x(2)
     with pytest.raises(ValueError):
         MultiPoly.x(1) * MultiPoly.x(2)
-
-
-def test_remap_y():
-    p = MultiPoly.y(2, 1) * MultiPoly.x(2) + MultiPoly.y(2, 2)
-    q = p.remap_y(3, {1: 3, 2: 1})
-    assert q == MultiPoly.y(3, 3) * MultiPoly.x(3) + MultiPoly.y(3, 1)
 
 
 def test_zero_coefficients_never_stored():

@@ -56,8 +56,9 @@ def test_cli_raises_no_verification_error():
 
 
 def test_analysis_does_not_import_commutes():
-    # isotropy maps are verified by endos.affine_commutes; the generic
-    # substitution check serves only the commute subcommand
+    # isotropy maps are built, verified (by endos.affine_commutes) and
+    # returned as AffineEndo; the generic substitution check serves only the
+    # commute subcommand, and no PolyEndo is built and read back
     path = Path(shamsuddin.__file__).parent / "analysis.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = [
@@ -67,3 +68,4 @@ def test_analysis_does_not_import_commutes():
         for alias in node.names
     ]
     assert "affine_commutes" in imported and "commutes" not in imported
+    assert "PolyEndo" not in imported and "endo_to_affine" not in imported

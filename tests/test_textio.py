@@ -31,7 +31,7 @@ from shamsuddin import (
     parse_poly,
     textio,
 )
-from shamsuddin.textio import MAX_DEPTH, MAX_TERM_PAIRS
+from shamsuddin.textio import MAX_DEPTH, MAX_DIGITS, MAX_TERM_PAIRS
 
 X = UniPoly.x()
 ONE = UniPoly.one()
@@ -122,6 +122,29 @@ def test_parse_endo_examples():
         parse_endo("x -> x", 1)
     with pytest.raises(SemanticError):
         parse_endo("x -> x ; y1 -> y1 ; y1 -> 2*y1", 1)
+
+
+@pytest.mark.parametrize(
+    "parse, template, pos",
+    [
+        (lambda t: parse_poly(t, 1), "x + {}", 4),
+        (lambda t: parse_poly(t, 1), "1/{}", 2),
+        (lambda t: parse_poly(t, 1), "x^{}", 2),
+        (lambda t: parse_poly(t, 1), "x*y{}", 2),
+        (parse_derivation, "y{}: a=x, b=1", 0),
+        (lambda t: parse_endo(t, 1), "x -> x ; y{} -> y1", 9),
+    ],
+    ids=["number", "denominator", "exponent", "poly_index", "deriv_index", "endo_index"],
+)
+def test_parse_digit_limit(parse, template, pos):
+    with pytest.raises(ParseError) as info:
+        parse(template.format("1" * (MAX_DIGITS + 1)))
+    assert info.value.pos == pos and f"exceed the parser limit {MAX_DIGITS}" in str(info.value)
+    # one digit less passes the digit check (and may fail a later one)
+    try:
+        parse(template.format("1" * MAX_DIGITS))
+    except (ParseError, SemanticError) as exc:
+        assert "digits" not in str(exc)
 
 
 def test_format_endo_examples():
