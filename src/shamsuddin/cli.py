@@ -6,7 +6,8 @@ with ``--json``.  The library verifies every witness and sample it returns
 (commutation and det C != 0, exactly), so the CLI only prints them.
 
 Exit codes: 0 success, 2 parse error, 3 semantic error (including input
-whose parenthesised products exceed the parser's work budget), 4 verification
+whose parenthesised products exceed the parser's work budget, and output with
+a numerator or denominator over ``MAX_OUTPUT_DIGITS`` digits), 4 verification
 failure (a computed witness, sample or preimage failed its exact check, which
 is a defect of the library, not of the input); with ``--exit-status`` a
 boolean verdict maps true -> 0, false -> 1.
@@ -34,6 +35,7 @@ from .analysis import (
 from .derivations import Derivation, apply_derivation
 from .endos import affine_to_endo, commutes
 from .linalg import VerificationError
+from .polynomials import format_rational
 from .textio import ParseError, SemanticError, format_endo, parse_derivation, parse_endo, parse_poly
 
 
@@ -73,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help="polynomial to differentiate")
     p = sub.add_parser("commute", help="check whether an endomorphism commutes with D")
     common(p)
-    p.add_argument("--endo", required=True, help="endomorphism file, or inline text")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--endo", help="inline endomorphism text")
+    source.add_argument("--endo-file", help="endomorphism file, or '-' for stdin")
     return top
 
 
@@ -117,14 +121,14 @@ def _cmd_simple(args):
             blocks_json.append({"block": i + 1, "a": str(blk.a), "simple": True, "witness": None})
         else:
             k, z = witness
-            kstr = ", ".join(str(v) for v in k)
+            kstr = ", ".join(map(format_rational, k))
             lines.append(f"{label}: witness k=({kstr}), z={z}")
             blocks_json.append(
                 {
                     "block": i + 1,
                     "a": str(blk.a),
                     "simple": False,
-                    "witness": {"k": [str(v) for v in k], "z": str(z)},
+                    "witness": {"k": [format_rational(v) for v in k], "z": str(z)},
                 }
             )
     payload = {"command": "simple", "simple": verdict.simple, "blocks": blocks_json}
@@ -204,7 +208,7 @@ def _cmd_mz(args):
         "gamma": list(verdict.gamma) if verdict.gamma is not None else None,
     }
     if verdict.gamma is not None:
-        lines.append(f"gamma: ({', '.join(map(str, verdict.gamma))})")
+        lines.append(f"gamma: ({', '.join(map(format_rational, verdict.gamma))})")
     return lines, payload, verdict.tag is MzTag.IS_MZ
 
 
@@ -229,13 +233,27 @@ def _cmd_apply(args):
     return [f"result: {result}"], {"command": "apply", "result": str(result)}, None
 
 
+def _read_endo_text(args) -> str:
+    path = args.endo_file
+    if path == "-":
+        if args.path == "-":
+            raise SemanticError("the derivation and --endo-file cannot both be read from stdin")
+        return sys.stdin.read()
+    if path is None:
+        if not os.path.exists(args.endo):
+            return args.endo
+        print(
+            f"warning: reading the file {args.endo!r} given as --endo is deprecated; use --endo-file",
+            file=args.err,
+        )
+        path = args.endo
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _cmd_commute(args):
     d = _read_derivation(args)
-    text = args.endo
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
-    rho = parse_endo(text, d.arity)
+    rho = parse_endo(_read_endo_text(args), d.arity)
     ok = commutes(rho, d)
     return [f"commutes: {_bool(ok)}"], {"command": "commute", "commutes": ok}, ok
 
@@ -259,6 +277,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.err = err  # for warnings printed while the command runs
     try:
         lines, payload, verdict = _COMMANDS[args.command](args)
     except ParseError as exc:

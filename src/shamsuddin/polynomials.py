@@ -6,6 +6,12 @@ polynomial in x stored sparsely by degree; ``MultiPoly`` is a sparse polynomial
 in x, y1, ..., yn with exponent-vector keys and the variable order fixed at
 construction (x first, then the y's in declaration order).
 
+Coefficients are stored as normalized nonzero ``Fraction``s, but the hot
+loops run on Python ints: a product of two polynomials clears each factor's
+denominators once (``_integer_form``), convolves the integer numerators, and
+divides by the common denominator once per output term; ``UniPoly.shift`` is
+an integer Taylor shift.  Every output coefficient is built as one Fraction.
+
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
 """
@@ -134,6 +140,8 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
+        """Product; of two polynomials by integer convolution of the
+        numerators over the common denominators (``_integer_form``)."""
         if isinstance(other, (int, Fraction)):
             q = as_rational(other)
             if not q:
@@ -141,16 +149,14 @@ class UniPoly:
             return _raw_uni({d: v * q for d, v in self._c.items()})
         if not isinstance(other, UniPoly):
             return NotImplemented
-        c: dict[int, Rational] = {}
-        for d1, v1 in self._c.items():
-            for d2, v2 in other._c.items():
+        den1, nums1 = _integer_form(self._c)
+        den2, nums2 = _integer_form(other._c)
+        acc: dict[int, int] = {}
+        for d1, v1 in nums1.items():
+            for d2, v2 in nums2.items():
                 d = d1 + d2
-                q = c.get(d, _ZERO) + v1 * v2
-                if q:
-                    c[d] = q
-                else:
-                    c.pop(d, None)
-        return _raw_uni(c)
+                acc[d] = acc.get(d, 0) + v1 * v2
+        return _raw_uni(_rational_terms(acc, den1 * den2))
 
     __rmul__ = __mul__
 
@@ -167,21 +173,34 @@ class UniPoly:
         return _raw_uni({d + 1: v / (d + 1) for d, v in self._c.items()})
 
     def shift(self, offset: Scalar) -> "UniPoly":
-        """Substitute x -> x + offset, expanded exactly by the binomial theorem."""
+        """Substitute x -> x + offset, as an integer Taylor shift.
+
+        With offset = s/t in lowest terms and den the common denominator of
+        the coefficients, q(y) = den * t^m * p(y/t) has integer coefficients
+        (m = deg p), and q(y + s) = den * t^m * p(x + s/t) at y = t*x.  So
+        Horner's scheme shifts q by the integer s, and coefficient i of the
+        result is that of y^i in q(y + s), over den * t^(m-i): one Fraction
+        per term (von zur Gathen and Gerhard, "Fast algorithms for Taylor
+        shifts and certain difference equations", ISSAC 1997).  Offset 0
+        and the zero polynomial return self.
+        """
         c = as_rational(offset)
-        if not c:
+        if not c or not self._c:
             return self
+        s, t = c.numerator, c.denominator
+        den, nums = _integer_form(self._c)
+        m = max(nums)
+        q = [0] * (m + 1)
+        for k, v in nums.items():
+            q[k] = v * t ** (m - k)
+        for i in range(m):
+            for j in range(m - 1, i - 1, -1):
+                q[j] += s * q[j + 1]
         out: dict[int, Rational] = {}
-        for k, v in self._c.items():
-            cp = _ONE  # c^(k-i), built down from c^0
-            # accumulate from i = k down to 0 so powers of c grow incrementally
-            for i in range(k, -1, -1):
-                q = out.get(i, _ZERO) + v * math.comb(k, i) * cp
-                if q:
-                    out[i] = q
-                else:
-                    out.pop(i, None)
-                cp *= c
+        for i in range(m, -1, -1):
+            if q[i]:
+                out[i] = Fraction(q[i], den)
+            den *= t
         return _raw_uni(out)
 
     def __call__(self, point: Scalar) -> Rational:
@@ -381,6 +400,8 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
+        """Product; of two polynomials by integer convolution of the
+        numerators over the common denominators (``_integer_form``)."""
         if isinstance(other, (int, Fraction)):
             q = as_rational(other)
             if not q:
@@ -389,16 +410,14 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        t: dict[tuple[int, ...], Rational] = {}
-        for e1, v1 in self._t.items():
-            for e2, v2 in other._t.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                q = t.get(e, _ZERO) + v1 * v2
-                if q:
-                    t[e] = q
-                else:
-                    t.pop(e, None)
-        return _raw_multi(self.arity, t)
+        den1, nums1 = _integer_form(self._t)
+        den2, nums2 = _integer_form(other._t)
+        acc: dict[tuple[int, ...], int] = {}
+        for e1, v1 in nums1.items():
+            for e2, v2 in nums2.items():
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = acc.get(e, 0) + v1 * v2
+        return _raw_multi(self.arity, _rational_terms(acc, den1 * den2))
 
     __rmul__ = __mul__
 
@@ -482,9 +501,42 @@ def _raw_multi(arity: int, t: dict) -> MultiPoly:
     return p
 
 
+def _integer_form(terms: Mapping) -> tuple[int, dict]:
+    """(den, nums) with terms[key] == nums[key] / den for every key; den is
+    the least common denominator, so the integer products of two forms
+    share the one denominator den1 * den2."""
+    den = math.lcm(*[v.denominator for v in terms.values()])
+    return den, {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+
+
+def _rational_terms(nums: dict, den: int) -> dict:
+    """{key: nums[key] / den} without the zero numerators, one Fraction each."""
+    if den == 1:
+        return {k: Fraction(v) for k, v in nums.items() if v}
+    return {k: Fraction(v, den) for k, v in nums.items() if v}
+
+
+#: most decimal digits a printed numerator or denominator may have (CPython's
+#: own limit for converting an int to text)
+MAX_OUTPUT_DIGITS = 4300
+_OUTPUT_BOUND = 10**MAX_OUTPUT_DIGITS
+
+
+def format_rational(q: Rational) -> str:
+    """``str(q)``; ValueError naming the cap and the side when the numerator
+    or the denominator has more than MAX_OUTPUT_DIGITS digits.  Every printed
+    rational goes through here."""
+    if abs(q.numerator) >= _OUTPUT_BOUND:
+        raise ValueError(f"coefficient numerator exceeds the output limit of {MAX_OUTPUT_DIGITS} digits")
+    if q.denominator >= _OUTPUT_BOUND:
+        raise ValueError(f"coefficient denominator exceeds the output limit of {MAX_OUTPUT_DIGITS} digits")
+    return str(q)
+
+
 def format_terms(terms: Mapping[tuple[int, ...], Rational]) -> str:
     """Canonical text form: terms sorted by exponent vector descending
-    (x-degree first, then y1, y2, ...), coefficients as reduced fractions.
+    (x-degree first, then y1, y2, ...), coefficients as reduced fractions
+    (``format_rational``).
     """
     if not terms:
         return "0"
@@ -499,11 +551,11 @@ def format_terms(terms: Mapping[tuple[int, ...], Rational]) -> str:
             factors.append(name if e == 1 else f"{name}^{e}")
         mono = "*".join(factors)
         if not mono:
-            parts.append(str(coeff))
+            parts.append(format_rational(coeff))
         elif coeff == 1:
             parts.append(mono)
         else:
-            parts.append(f"{coeff}*{mono}")
+            parts.append(f"{format_rational(coeff)}*{mono}")
     out = parts[0]
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -511,4 +563,3 @@ def format_terms(terms: Mapping[tuple[int, ...], Rational]) -> str:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)

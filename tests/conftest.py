@@ -4,6 +4,7 @@ oracles used across the test suite."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -399,6 +400,48 @@ def affine_inverse(rho: AffineEndo) -> AffineEndo:
                 acc = acc + shifted[j] * (-entry)
         g0.append(acc)
     return AffineEndo(-rho.c, inv, tuple(g0))
+
+
+# -- Fraction-loop kernels: the polynomial arithmetic the integer kernels replaced
+
+
+def _accumulate(out: dict, key, value: Fraction) -> None:
+    q = out.get(key, 0) + value
+    if q:
+        out[key] = q
+    else:
+        out.pop(key, None)
+
+
+def shift_oracle(p: UniPoly, offset) -> dict[int, Fraction]:
+    """Terms of p(x + offset), expanded by the binomial theorem one Fraction
+    operation at a time."""
+    c = Fraction(offset)
+    out: dict[int, Fraction] = {}
+    for k, v in p.items():
+        cp = Fraction(1)  # c^(k-i), built up from c^0
+        for i in range(k, -1, -1):
+            _accumulate(out, i, v * math.comb(k, i) * cp)
+            cp *= c
+    return out
+
+
+def uni_mul_oracle(p: UniPoly, q: UniPoly) -> dict[int, Fraction]:
+    """Terms of p * q, summed one Fraction product at a time."""
+    out: dict[int, Fraction] = {}
+    for d1, v1 in p.items():
+        for d2, v2 in q.items():
+            _accumulate(out, d1 + d2, v1 * v2)
+    return out
+
+
+def multi_mul_oracle(f: MultiPoly, g: MultiPoly) -> dict[tuple[int, ...], Fraction]:
+    """Terms of f * g, summed one Fraction product at a time."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, v1 in f.terms().items():
+        for e2, v2 in g.terms().items():
+            _accumulate(out, tuple(a + b for a, b in zip(e1, e2)), v1 * v2)
+    return out
 
 
 # -- reference parser: the MultiPoly-arithmetic parser the term-level one replaced

@@ -149,6 +149,79 @@ def test_commute_endo_from_file(tmp_path):
     assert code == 0 and out.strip() == "commutes: true"
 
 
+ENDO = "x -> x ; y1 -> 2*y1"
+
+
+def test_commute_endo_file_flag(tmp_path, monkeypatch):
+    path = tmp_path / "endo.txt"
+    path.write_text(ENDO + "\n", encoding="utf-8")
+    code, out, err = _run(["commute", "--deriv", "y1: a=1, b=0", "--endo-file", str(path)])
+    assert (code, out, err) == (0, "commutes: true\n", "")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(ENDO))
+    code, out, err = _run(["commute", "--deriv", "y1: a=1, b=0", "--endo-file", "-"])
+    assert (code, out, err) == (0, "commutes: true\n", "")
+
+
+def test_commute_endo_file_errors(tmp_path, monkeypatch):
+    code, out, err = _run(["commute", "--deriv", "y1: a=1, b=0", "--endo-file", str(tmp_path / "none.txt")])
+    assert code == 3 and out == "" and "none.txt" in err
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("y1: a=1, b=0"))
+    code, out, err = _run(["commute", "-", "--endo-file", "-"])
+    assert code == 3 and out == "" and "cannot both be read from stdin" in err
+
+    # one source only: both flags, or neither, is a usage error
+    assert _run(["commute", "--deriv", "y1: a=1, b=0", "--endo", ENDO, "--endo-file", "-"])[0] == 2
+    assert _run(["commute", "--deriv", "y1: a=1, b=0"])[0] == 2
+
+
+def test_commute_inline_endo_prints_no_warning():
+    code, out, err = _run(["commute", "--deriv", "y1: a=1, b=0", "--endo", ENDO])
+    assert (code, out, err) == (0, "commutes: true\n", "")
+
+
+def test_commute_endo_naming_a_file_warns(tmp_path):
+    path = tmp_path / "endo.txt"
+    path.write_text(ENDO + "\n", encoding="utf-8")
+    code, out, err = _run(["commute", "--deriv", "y1: a=1, b=0", "--endo", str(path)])
+    assert code == 0 and out == "commutes: true\n"
+    assert err == f"warning: reading the file {str(path)!r} given as --endo is deprecated; use --endo-file\n"
+
+
+OVERLONG = "12345678901234567890^256"
+
+
+@pytest.mark.parametrize(
+    "argv, side",
+    [
+        (["apply", "--deriv", "y1: a=x, b=1", "--poly", f"{OVERLONG}*y1"], "numerator"),
+        (["apply", "--deriv", "y1: a=x, b=1", "--poly", f"(1/{OVERLONG})*y1"], "denominator"),
+        (
+            ["preimage", "--deriv", "y1: a=x, b=1", "--target", f"{OVERLONG}*(x*y1+1)",
+             "--max-x-deg", "1", "--max-y-deg", "1"],
+            "numerator",
+        ),
+        (
+            ["preimage", "--json", "--deriv", "y1: a=x, b=1", "--target", f"{OVERLONG}*(x*y1+1)",
+             "--max-x-deg", "1", "--max-y-deg", "1"],
+            "numerator",
+        ),
+    ],
+    ids=["apply", "apply-denominator", "preimage", "preimage-json"],
+)
+def test_overlong_coefficient_exits_3_naming_the_cap(argv, side):
+    code, out, err = _run(argv)
+    assert code == 3 and out == ""
+    assert err == f"error: coefficient {side} exceeds the output limit of 4300 digits\n"
+
+
+def test_longest_printable_coefficient_prints():
+    digits = "9" * 4300
+    code, out, _ = _run(["apply", "--deriv", "y1: a=x, b=1", f"--poly=-{digits}*y1"])
+    assert code == 0 and out == f"result: -{digits}*x*y1 - {digits}\n"
+
+
 def test_missing_file_is_semantic_error():
     code, _, err = _run(["simple", "/no/such/file.txt"])
     assert code == 3

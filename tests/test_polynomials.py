@@ -1,11 +1,22 @@
 from fractions import Fraction
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import compose, multipolys, rationals, unipolys
+from conftest import (
+    compose,
+    multi_mul_oracle,
+    multipolys,
+    rationals,
+    shift_oracle,
+    uni_mul_oracle,
+    unipolys,
+)
 from shamsuddin import MultiPoly, NEG_INF, UniPoly
+from shamsuddin.polynomials import MAX_OUTPUT_DIGITS, format_rational
 
 X = UniPoly.x()
 
@@ -188,3 +199,104 @@ def test_zero_coefficients_never_stored():
     assert p.items() == [(3, Fraction(1, 2))]
     q = MultiPoly(1, {(0, 1): 1}) + MultiPoly(1, {(0, 1): -1})
     assert q.is_zero and not q.terms()
+
+
+# -- integer kernels against the Fraction loops they replaced -----------------
+
+offsets = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+mixed_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+sparse_unipolys = st.dictionaries(st.integers(0, 40), mixed_rationals, max_size=5).map(UniPoly)
+
+
+def assert_normal(terms):
+    """Every stored value is a nonzero Fraction in lowest terms."""
+    for v in terms.values():
+        assert type(v) is Fraction and v != 0
+        assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
+@settings(max_examples=60)
+@given(st.one_of(unipolys(max_deg=8, coeffs=mixed_rationals), sparse_unipolys), offsets)
+@example(UniPoly({80: 1, 0: Fraction(1, 3)}), Fraction(-5, 3))
+@example(UniPoly({80: 1, 0: Fraction(1, 3)}), 2)
+@example(UniPoly(), Fraction(2, 3))
+def test_shift_matches_fraction_oracle(p, c):
+    shifted = p.shift(c)
+    terms = dict(shifted.items())
+    assert terms == shift_oracle(p, c)
+    assert_normal(terms)
+
+
+@settings(max_examples=25)
+@given(st.one_of(unipolys(), sparse_unipolys))
+def test_shift_by_zero_returns_self(p):
+    assert p.shift(0) is p
+    assert p.shift(Fraction(0)) is p
+
+
+def test_shift_of_zero_polynomial_is_zero():
+    for c in (Fraction(-3, 2), 0, 5):
+        assert UniPoly.zero().shift(c).is_zero
+
+
+@settings(max_examples=50)
+@given(
+    st.one_of(unipolys(max_deg=6, coeffs=mixed_rationals), sparse_unipolys),
+    st.one_of(unipolys(max_deg=6, coeffs=mixed_rationals), sparse_unipolys),
+)
+@example(X + 1, X - 1)
+@example(X + Fraction(1, 2), 2 * X - 1)
+@example(UniPoly(), X + 1)
+def test_uni_mul_matches_fraction_oracle(p, q):
+    terms = dict((p * q).items())
+    assert terms == uni_mul_oracle(p, q)
+    assert_normal(terms)
+
+
+def test_uni_mul_drops_cancelled_terms():
+    assert (X + 1) * (X - 1) == X**2 - 1
+    assert dict(((X + 1) * (X - 1)).items()) == {2: 1, 0: -1}
+    half = X + Fraction(1, 2)
+    assert dict((half * (X - Fraction(1, 2))).items()) == {2: 1, 0: Fraction(-1, 4)}
+
+
+mixed_multipolys = st.builds(
+    MultiPoly,
+    st.just(2),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), mixed_rationals), max_size=6),
+)
+
+
+@settings(max_examples=50)
+@given(mixed_multipolys, mixed_multipolys)
+@example(MultiPoly.x(2) + MultiPoly.y(2, 1), MultiPoly.x(2) - MultiPoly.y(2, 1))
+@example(MultiPoly.zero(2), MultiPoly.y(2, 2) + Fraction(1, 3))
+def test_multi_mul_matches_fraction_oracle(f, g):
+    terms = (f * g).terms()
+    assert terms == multi_mul_oracle(f, g)
+    assert_normal(terms)
+
+
+def test_multi_mul_drops_cancelled_terms():
+    x, y = MultiPoly.x(2), MultiPoly.y(2, 1)
+    product = (x + Fraction(1, 3) * y) * (x - Fraction(1, 3) * y)
+    assert product.terms() == {(2, 0, 0): 1, (0, 2, 0): Fraction(-1, 9)}
+
+
+# -- printing ------------------------------------------------------------------
+
+
+def test_format_rational_caps_each_side():
+    longest = 10**MAX_OUTPUT_DIGITS - 1
+    assert format_rational(Fraction(longest)) == "9" * MAX_OUTPUT_DIGITS
+    assert format_rational(Fraction(-longest, 7)) == "-" + "9" * MAX_OUTPUT_DIGITS + "/7"
+    assert format_rational(Fraction(1, longest)) == "1/" + "9" * MAX_OUTPUT_DIGITS
+    for value, side in [
+        (Fraction(longest + 1), "numerator"),
+        (Fraction(-(longest + 1), 3), "numerator"),
+        (Fraction(1, longest + 2), "denominator"),
+    ]:
+        with pytest.raises(ValueError, match=f"{side} exceeds the output limit of {MAX_OUTPUT_DIGITS} digits"):
+            format_rational(value)
+    with pytest.raises(ValueError, match="numerator exceeds the output limit"):
+        str(MultiPoly.const(1, longest + 1) * MultiPoly.y(1, 1))
