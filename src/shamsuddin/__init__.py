@@ -29,7 +29,6 @@ from .derivations import (
     TriangularDerivation,
     apply_derivation,
     normalize,
-    span_dim,
 )
 from .endos import (
     AffineEndo,
@@ -50,7 +49,6 @@ from .linalg import (
 )
 from .ode import (
     degree_bound,
-    has_nonzero_k_solution,
     reduce_linear_ode,
 )
 from .polynomials import NEG_INF, MultiPoly, Rational, UniPoly
@@ -59,7 +57,6 @@ from .textio import (
     SemanticError,
     format_derivation,
     format_endo,
-    format_poly,
     parse_derivation,
     parse_endo,
     parse_poly,
@@ -97,8 +94,6 @@ __all__ = [
     "endo_to_affine",
     "format_derivation",
     "format_endo",
-    "format_poly",
-    "has_nonzero_k_solution",
     "is_locally_finite",
     "is_simple",
     "is_simple_block",
@@ -116,5 +111,4 @@ __all__ = [
     "reduce_linear_ode",
     "rref_rows",
     "sample_isotropy_element",
-    "span_dim",
 ]

@@ -18,10 +18,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .derivations import Block, Derivation, TriangularDerivation, apply_derivation
+from .derivations import AnyDerivation, Block, Derivation, apply_derivation
 from .endos import AffineEndo, affine_commutes, affine_is_automorphism
 from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
-from .ode import degree_bound, has_nonzero_k_solution, parametric_spaces, reduce_linear_ode
+from .ode import BlockReduction, reduce_linear_ode
 from .polynomials import MultiPoly, Rational, UniPoly
 
 #: solution pair of the parametric ODE: weights k and the polynomial z
@@ -42,7 +42,7 @@ class SimplicityVerdict:
 
 def is_simple_block(a: UniPoly, bs: Sequence[UniPoly]) -> tuple[bool, Witness | None]:
     """Decide simplicity of one block; a witness (k, z) certifies failure."""
-    found = has_nonzero_k_solution(a, bs)
+    found = BlockReduction.of(a, bs).witness()
     return (found is None), found
 
 
@@ -148,8 +148,9 @@ class IsotropyDescription:
     + g_t(x); the shift c is forced to 0 when deg a >= 1 and is a free
     parameter when a is a nonzero constant.  For a fixed shift, row t of
     (C, g) ranges over an affine solution space with unknowns
-    (C[t][1..r], coefficients of g_t), computed exactly; membership
-    additionally requires det C != 0.
+    (C[t][1..r], coefficients of g_t), read off the block's one reduction
+    for every shift (BlockReduction.isotropy_rows); membership additionally
+    requires det C != 0.
     """
 
     case: IsotropyCase
@@ -157,7 +158,7 @@ class IsotropyDescription:
     bs: tuple[UniPoly, ...]
     shift_forced_zero: bool
     h: tuple[UniPoly, ...] | None
-    rows_at_zero: tuple[AffineSpace, ...] | None
+    reduction: BlockReduction
     g_bound: int | None
 
     @property
@@ -166,29 +167,12 @@ class IsotropyDescription:
 
     def row_spaces(self, c: Rational | int = 0) -> tuple[AffineSpace, ...]:
         """Affine row spaces of (C-row, g coefficients) at the given shift."""
-        c = Fraction(c)
-        if c and self.shift_forced_zero:
-            raise ValueError("shift is forced to 0 for this block")
-        if not c and self.rows_at_zero is not None:
-            return self.rows_at_zero
-        return _iso_row_spaces(self.a, self.bs, c)
-
-
-def _iso_row_spaces(a: UniPoly, bs: Sequence[UniPoly], c: Fraction) -> tuple[AffineSpace, ...]:
-    """Per-row solution spaces of g' = a g + b_t(x+c) - sum_j C[t][j] b_j.
-
-    Unknowns are (C[t][1..r], g_0..g_B) with B the exact degree bound; each
-    row is consistent (the identity row solves it at c = 0, integration or the
-    invertible constant-coefficient system settle the other cases)."""
-    spaces = parametric_spaces(a, [-b for b in bs], [b.shift(c) for b in bs])
-    if any(space is None for space in spaces):
-        raise VerificationError("isotropy row system is inconsistent")
-    return spaces
+        return self.reduction.isotropy_rows(c)
 
 
 def isotropy_describe_block(a: UniPoly, bs: Sequence[UniPoly]) -> IsotropyDescription:
     """Structured description of the commuting automorphisms of one block."""
-    bs = tuple(bs)
+    reduction = BlockReduction.of(a, bs)
     if a.is_zero:
         case = IsotropyCase.A_ZERO
     else:
@@ -196,13 +180,11 @@ def isotropy_describe_block(a: UniPoly, bs: Sequence[UniPoly]) -> IsotropyDescri
     return IsotropyDescription(
         case,
         a,
-        bs,
+        reduction.bs,
         shift_forced_zero=case is IsotropyCase.A_DEG_GE_1,
-        h=tuple(b.integral() for b in bs) if case is IsotropyCase.A_ZERO else None,
-        rows_at_zero=(
-            _iso_row_spaces(a, bs, Fraction(0)) if case is IsotropyCase.A_DEG_GE_1 else None
-        ),
-        g_bound=degree_bound(a, bs),
+        h=reduction.zs if case is IsotropyCase.A_ZERO else None,
+        reduction=reduction,
+        g_bound=reduction.bound,
     )
 
 
@@ -255,9 +237,10 @@ def sample_isotropy_element(desc: IsotropyDescription, seed: int = 0) -> AffineE
 # -- local finiteness and image classification --------------------------------
 
 
-def is_locally_finite(d: TriangularDerivation) -> bool:
+def is_locally_finite(d: AnyDerivation) -> bool:
     """Locally finite iff every a_j is constant."""
-    return all(aj.degree <= 0 for aj in d.a)
+    a_list = [blk.a for blk in d.blocks] if isinstance(d, Derivation) else d.a
+    return all(aj.degree <= 0 for aj in a_list)
 
 
 def nat_dependence_witness(a_list: Sequence[UniPoly]) -> tuple[int, ...] | None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analysis import (
@@ -187,9 +186,7 @@ def _cmd_describe(args):
 
 
 def _cmd_locally_finite(args):
-    d = _read_derivation(args)
-    tri = d.to_triangular() if isinstance(d, Derivation) else d
-    lf = is_locally_finite(tri)
+    lf = is_locally_finite(_read_derivation(args))
     return (
         [f"locally_finite: {_bool(lf)}"],
         {"command": "locally-finite", "locally_finite": lf},
@@ -235,18 +232,12 @@ def _cmd_apply(args):
 
 def _read_endo_text(args) -> str:
     path = args.endo_file
+    if path is None:
+        return args.endo
     if path == "-":
         if args.path == "-":
             raise SemanticError("the derivation and --endo-file cannot both be read from stdin")
         return sys.stdin.read()
-    if path is None:
-        if not os.path.exists(args.endo):
-            return args.endo
-        print(
-            f"warning: reading the file {args.endo!r} given as --endo is deprecated; use --endo-file",
-            file=args.err,
-        )
-        path = args.endo
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
@@ -277,7 +268,6 @@ def run(argv: list[str], out=None, err=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.err = err  # for warnings printed while the command runs
     try:
         lines, payload, verdict = _COMMANDS[args.command](args)
     except ParseError as exc:

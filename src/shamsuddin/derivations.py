@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .polynomials import MultiPoly, Rational, UniPoly
+from .polynomials import MultiPoly, UniPoly
 
 
 @dataclass(frozen=True)
@@ -56,20 +56,6 @@ class Derivation:
             for b, j in zip(blk.bs, blk.var_indices):
                 out[j] = (blk.a, b)
         return [out[j] for j in range(1, self.arity + 1)]
-
-    def block_derivation(self, block_index: int) -> "Derivation":
-        """The single-block derivation on its own y's, renumbered 1..r."""
-        blk = self.blocks[block_index]
-        local = Block(blk.a, blk.bs, tuple(range(1, blk.size + 1)))
-        return Derivation(blk.size, (local,))
-
-    def to_triangular(self) -> "TriangularDerivation":
-        pairs = self.coeff_pairs()
-        return TriangularDerivation(
-            self.arity,
-            tuple(a for a, _ in pairs),
-            tuple(b.lift(self.arity) for _, b in pairs),
-        )
 
     def __str__(self) -> str:
         from .textio import format_derivation
@@ -141,37 +127,3 @@ def apply_derivation(d: AnyDerivation, f: MultiPoly) -> MultiPoly:
             continue
         out = out + (a.lift(n) * MultiPoly.y(n, j) + b) * df
     return out
-
-
-def span_dim(d: AnyDerivation, f: MultiPoly, kmax: int) -> list[int]:
-    """dim span{f, D(f), ..., D^k(f)} for k = 0..kmax, by exact rank.
-
-    Incremental sparse Gaussian elimination keyed by monomial: each iterate is
-    reduced against the pivots found so far and contributes a new pivot iff it
-    leaves the current span.
-    """
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    pivots: dict[tuple[int, ...], dict[tuple[int, ...], Rational]] = {}
-    dims: list[int] = []
-    current = f
-    for _ in range(kmax + 1):
-        vec = current.terms()
-        while vec:
-            lead = max(vec)
-            row = pivots.get(lead)
-            if row is None:
-                # new pivot; rows are stored with leading coefficient 1
-                lc = vec[lead]
-                pivots[lead] = {m: v / lc for m, v in vec.items()}
-                break
-            factor = vec[lead]
-            for mono, val in row.items():
-                q = vec.get(mono, 0) - factor * val
-                if q:
-                    vec[mono] = q
-                else:
-                    vec.pop(mono, None)
-        dims.append(len(pivots))
-        current = apply_derivation(d, current)
-    return dims

@@ -4,14 +4,16 @@ Everything is decided exactly, by a top-down recurrence on the coefficients
 of z with no matrix (reduce_linear_ode).  The parametric variant
 z' = a z + sum_j k_j b_j, the polynomial case of the parametric Risch
 equation, reduces each b_j once by that recurrence; what is left is a linear
-system R in the k_j alone, with one row per power of x below deg a.  The
-simplicity witness (has_nonzero_k_solution) is the first reduced row of the
-kernel of R; parametric_spaces gives the solution sets of the same equation
-with extra target terms, which are the rows of the isotropy description.
+system R in the k_j alone, with one row per power of x below deg a.  A
+BlockReduction holds that reduction for one block and answers both verdicts
+from it: the simplicity witness is the first reduced row of the kernel of R,
+and the isotropy rows, the same equation with one target term b_t(x + c),
+have an explicit particular solution, so no further system is solved.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,77 +69,81 @@ def reduce_linear_ode(a: UniPoly, c: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(z), UniPoly(enumerate(rem[:d]))
 
 
-def _reduce_block(
-    a: UniPoly, cs: Sequence[UniPoly]
-) -> tuple[list[tuple[UniPoly, UniPoly]], list[list[Rational]]]:
-    """Reduce each c against z' - a z: the pairs (z_c, r_c) of
-    reduce_linear_ode(-a, c), and the remainder rows, row i holding the
-    coefficient of x^i in every r_c (deg a rows, none when a is constant)."""
-    reduced = [reduce_linear_ode(-a, c) for c in cs]
-    return reduced, [[rem.coeff(i) for _, rem in reduced] for i in range(max(a.degree, 0))]
+def _combine(k: Sequence[Rational], polys: Sequence[UniPoly]) -> UniPoly:
+    """sum_j k_j p_j."""
+    return sum((p * kj for kj, p in zip(k, polys) if kj), UniPoly.zero())
 
 
-def parametric_spaces(
-    a: UniPoly, bs: Sequence[UniPoly], targets: Sequence[UniPoly]
-) -> tuple[AffineSpace | None, ...]:
-    """Solution sets of z' = a z + sum_j k_j b_j + c, one per target c.
+@dataclass(frozen=True)
+class BlockReduction:
+    """One block's b_j reduced against z -> z' - a z, built once by ``of``.
 
-    The unknowns are (k_1..k_r, z_0..z_B) with B = degree_bound(a, bs +
-    targets), which no solution exceeds.  reduce_linear_ode writes
-    b_j = z_j' - a z_j + r_j and c = w' - a w + s with r_j and s of degree
-    below deg a.  So (k, z) is a solution iff sum_j k_j r_j + s = 0 and
-    z - w - sum_j k_j z_j lies in the kernel of z -> z' - a z, which holds
-    the constants when a = 0 and only 0 otherwise.  The one linear system is
-    the remainder matrix R, with deg a rows and r columns.
-
-    Each set comes in the form QMatrix.solve_affine gives (see
-    echelon_affine), or is None when the target admits no solution.
+    reduce_linear_ode(-a, b_j) writes b_j = z_j' - a z_j + r_j with
+    deg r_j < deg a, so z' = a z + sum_j k_j b_j holds iff sum_j k_j r_j = 0
+    and z - sum_j k_j z_j lies in the kernel of z -> z' - a z (the constants
+    when a = 0, only 0 otherwise).  ``kernel`` is a basis of those k: the
+    kernel of the remainder matrix R, with deg a rows and one column per b_j.
+    ``bound`` is degree_bound(a, bs).
     """
-    r = len(bs)
-    bound = degree_bound(a, [*bs, *targets])
-    top = -1 if bound is None else bound
-    reduced, rem_rows = _reduce_block(a, [*bs, *targets])
-    matrix = QMatrix([row[:r] for row in rem_rows], cols=r)
 
-    def pair(k: Sequence[Rational], z: UniPoly) -> Vector:
-        for kj, (zj, _) in zip(k, reduced):
-            if kj:
-                z = z + zj * kj
-        return (*k, *z.coeff_vector(top))
+    a: UniPoly
+    bs: tuple[UniPoly, ...]
+    zs: tuple[UniPoly, ...]
+    kernel: tuple[Vector, ...]
+    bound: int | None
 
-    kernel = [pair(k, UniPoly.zero()) for k in matrix.nullspace()]
-    if a.is_zero:
-        kernel.append(pair((Fraction(0),) * r, UniPoly.one()))
-    points = []
-    for t, (w, _) in enumerate(reduced[r:]):
-        space = matrix.solve_affine([-row[r + t] for row in rem_rows])
-        points.append(None if space is None else pair(space.particular, w))
-    spaces = iter(echelon_affine(kernel, [p for p in points if p is not None]))
-    return tuple(None if p is None else next(spaces) for p in points)
+    @classmethod
+    def of(cls, a: UniPoly, bs: Sequence[UniPoly]) -> "BlockReduction":
+        bs = tuple(bs)
+        reduced = [reduce_linear_ode(-a, b) for b in bs]
+        rows = [[rem.coeff(i) for _, rem in reduced] for i in range(max(a.degree, 0))]
+        kernel = QMatrix(rows, cols=len(bs)).nullspace()
+        return cls(a, bs, tuple(z for z, _ in reduced), kernel, degree_bound(a, bs))
 
+    def witness(self) -> tuple[tuple[Rational, ...], UniPoly] | None:
+        """A solution pair (k, z) of z' = a z + sum_j k_j b_j with k != 0, or
+        None if every solution has k = 0.
 
-def has_nonzero_k_solution(
-    a: UniPoly, bs: Sequence[UniPoly]
-) -> tuple[tuple[Rational, ...], UniPoly] | None:
-    """A solution pair (k, z) of z' = a z + sum_j k_j b_j with k != 0, or None
-    if every solution has k = 0.
+        k is the first row of the reduced row echelon form of the kernel, so
+        its first nonzero entry is 1 and it is stable across runs, and
+        z = sum_j k_j z_j.  The pair is checked exactly before it is returned.
+        """
+        if not self.kernel:
+            return None
+        k = rref_rows(self.kernel)[0]
+        z, rhs = _combine(k, self.zs), _combine(k, self.bs)
+        if next((kj for kj in k if kj), None) != 1 or z.derivative() != self.a * z + rhs:
+            raise VerificationError(f"parametric ODE witness k={k}, z={z} failed its check")
+        return k, z
 
-    The admissible k form the kernel of the remainder matrix R (see
-    parametric_spaces) and each fixes z = sum_j k_j z_j.  k is the first row
-    of the reduced row echelon form of that kernel, so its first nonzero
-    entry is 1 and it is stable across runs.  The pair is checked exactly
-    before it is returned.
-    """
-    reduced, rem_rows = _reduce_block(a, bs)
-    kernel = QMatrix(rem_rows, cols=len(bs)).nullspace()
-    if not kernel:
-        return None
-    k = rref_rows(kernel)[0]
-    z = rhs = UniPoly.zero()
-    for kj, b, (zj, _) in zip(k, bs, reduced):
-        if kj:
-            z = z + zj * kj
-            rhs = rhs + b * kj
-    if next((kj for kj in k if kj), None) != 1 or z.derivative() != a * z + rhs:
-        raise VerificationError(f"parametric ODE witness k={k}, z={z} failed its check")
-    return k, z
+    def isotropy_rows(self, c: Rational | int) -> tuple[AffineSpace, ...]:
+        """Solution sets of g' = a g + b_t(x + c) - sum_j C_j b_j, one per row
+        t, over the unknowns (C_1..C_r, g_0..g_B) with B = bound.
+
+        The homogeneous solutions are C in the kernel with g = -sum_j C_j z_j,
+        plus the constants g when a = 0.  Row t has the particular solution
+        C = e_t, g = z_t(x + c) - z_t: for constant a, r_t = 0 and
+        z -> z' - a z commutes with x -> x + c, and at c = 0 it is the
+        identity row for every a.  So no linear system is solved.  The shift
+        must be 0 when deg a >= 1 (ValueError otherwise), and each particular
+        is checked exactly.  The sets come in the form QMatrix.solve_affine
+        gives (see echelon_affine).
+        """
+        if c and self.a.degree >= 1:
+            raise ValueError("shift is forced to 0 for this block")
+        r = len(self.bs)
+        top = -1 if self.bound is None else self.bound
+
+        def vector(k: Sequence[Rational], g: UniPoly) -> Vector:
+            return (*k, *g.coeff_vector(top))
+
+        homogeneous = [vector(k, -_combine(k, self.zs)) for k in self.kernel]
+        if self.a.is_zero:
+            homogeneous.append(vector((Fraction(0),) * r, UniPoly.one()))
+        points = []
+        for t, (b, z) in enumerate(zip(self.bs, self.zs)):
+            g = z.shift(c) - z
+            if g.degree > top or g.derivative() != self.a * g + b.shift(c) - b:
+                raise VerificationError(f"isotropy row {t + 1} particular failed its check")
+            points.append(vector([Fraction(int(j == t)) for j in range(r)], g))
+        return echelon_affine(homogeneous, points)

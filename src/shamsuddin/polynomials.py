@@ -80,11 +80,6 @@ class UniPoly:
     def constant(cls, value: Scalar) -> "UniPoly":
         return cls({0: value})
 
-    @classmethod
-    def from_coeffs(cls, ascending: Sequence[Scalar]) -> "UniPoly":
-        """Build from coefficients listed by ascending degree."""
-        return cls(enumerate(ascending))
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -348,10 +343,6 @@ class MultiPoly:
     @property
     def degree_x(self) -> int | float:
         return max((e[0] for e in self._t), default=NEG_INF)
-
-    @property
-    def total_y_degree(self) -> int | float:
-        return max((sum(e[1:]) for e in self._t), default=NEG_INF)
 
     def uses_y(self, j: int) -> bool:
         return any(e[j] for e in self._t)

@@ -328,10 +328,6 @@ def parse_endo(text: str, arity: int) -> PolyEndo:
     return PolyEndo(image_x, tuple(images_y[j] for j in range(1, arity + 1)))
 
 
-def format_poly(p: MultiPoly | UniPoly) -> str:
-    return str(p)
-
-
 def format_derivation(d: AnyDerivation) -> str:
     if isinstance(d, Derivation):
         pairs: list[tuple[UniPoly, object]] = d.coeff_pairs()

@@ -9,11 +9,14 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import strategies as st
 
 from shamsuddin import (
     AffineEndo,
+    AffineSpace,
+    Block,
     Derivation,
     MultiPoly,
     ParseError,
@@ -31,7 +34,7 @@ from shamsuddin import (
     reduce_linear_ode,
     rref_rows,
 )
-from shamsuddin.ode import parametric_spaces
+from shamsuddin.linalg import Vector, echelon_affine
 from shamsuddin.polynomials import NEG_INF
 from shamsuddin.textio import MAX_DEPTH, MAX_EXPONENT, _split_entries
 
@@ -42,7 +45,7 @@ small_ints = st.integers(min_value=-4, max_value=4)
 
 
 def unipolys(max_deg: int = 4, coeffs=rationals):
-    return st.lists(coeffs, min_size=0, max_size=max_deg + 1).map(UniPoly.from_coeffs)
+    return st.lists(coeffs, min_size=0, max_size=max_deg + 1).map(from_coeffs)
 
 
 @st.composite
@@ -291,6 +294,119 @@ def fraction_rref_rank(matrix: QMatrix) -> int:
 # -- solvers and maps the library no longer exports ------------------------------
 
 
+def from_coeffs(ascending) -> UniPoly:
+    """Build from coefficients listed by ascending degree."""
+    return UniPoly(enumerate(ascending))
+
+
+def total_y_degree(f: MultiPoly) -> int | float:
+    """Largest total degree in the y's of a term of f, NEG_INF for f = 0."""
+    return max((sum(e[1:]) for e in f.terms()), default=NEG_INF)
+
+
+def format_poly(p: MultiPoly | UniPoly) -> str:
+    return str(p)
+
+
+def block_derivation(d: Derivation, block_index: int) -> Derivation:
+    """The single-block derivation on its own y's, renumbered 1..r."""
+    blk = d.blocks[block_index]
+    local = Block(blk.a, blk.bs, tuple(range(1, blk.size + 1)))
+    return Derivation(blk.size, (local,))
+
+
+def to_triangular(d: Derivation) -> TriangularDerivation:
+    pairs = d.coeff_pairs()
+    return TriangularDerivation(
+        d.arity,
+        tuple(a for a, _ in pairs),
+        tuple(b.lift(d.arity) for _, b in pairs),
+    )
+
+
+def span_dim(d: Derivation | TriangularDerivation, f: MultiPoly, kmax: int) -> list[int]:
+    """dim span{f, D(f), ..., D^k(f)} for k = 0..kmax, by exact rank.
+
+    Incremental sparse Gaussian elimination keyed by monomial: each iterate is
+    reduced against the pivots found so far and contributes a new pivot iff it
+    leaves the current span.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    pivots: dict[tuple[int, ...], dict[tuple[int, ...], Rational]] = {}
+    dims: list[int] = []
+    current = f
+    for _ in range(kmax + 1):
+        vec = current.terms()
+        while vec:
+            lead = max(vec)
+            row = pivots.get(lead)
+            if row is None:
+                # new pivot; rows are stored with leading coefficient 1
+                lc = vec[lead]
+                pivots[lead] = {m: v / lc for m, v in vec.items()}
+                break
+            factor = vec[lead]
+            for mono, val in row.items():
+                q = vec.get(mono, 0) - factor * val
+                if q:
+                    vec[mono] = q
+                else:
+                    vec.pop(mono, None)
+        dims.append(len(pivots))
+        current = apply_derivation(d, current)
+    return dims
+
+
+def _reduce_block(
+    a: UniPoly, cs: Sequence[UniPoly]
+) -> tuple[list[tuple[UniPoly, UniPoly]], list[list[Rational]]]:
+    """Reduce each c against z' - a z: the pairs (z_c, r_c) of
+    reduce_linear_ode(-a, c), and the remainder rows, row i holding the
+    coefficient of x^i in every r_c (deg a rows, none when a is constant)."""
+    reduced = [reduce_linear_ode(-a, c) for c in cs]
+    return reduced, [[rem.coeff(i) for _, rem in reduced] for i in range(max(a.degree, 0))]
+
+
+def parametric_spaces(
+    a: UniPoly, bs: Sequence[UniPoly], targets: Sequence[UniPoly]
+) -> tuple[AffineSpace | None, ...]:
+    """Solution sets of z' = a z + sum_j k_j b_j + c, one per target c.
+
+    The unknowns are (k_1..k_r, z_0..z_B) with B = degree_bound(a, bs +
+    targets), which no solution exceeds.  reduce_linear_ode writes
+    b_j = z_j' - a z_j + r_j and c = w' - a w + s with r_j and s of degree
+    below deg a.  So (k, z) is a solution iff sum_j k_j r_j + s = 0 and
+    z - w - sum_j k_j z_j lies in the kernel of z -> z' - a z, which holds
+    the constants when a = 0 and only 0 otherwise.  The one linear system is
+    the remainder matrix R, with deg a rows and r columns.
+
+    Each set comes in the form QMatrix.solve_affine gives (see
+    echelon_affine), or is None when the target admits no solution.
+    """
+    r = len(bs)
+    bound = degree_bound(a, [*bs, *targets])
+    top = -1 if bound is None else bound
+    reduced, rem_rows = _reduce_block(a, [*bs, *targets])
+    matrix = QMatrix([row[:r] for row in rem_rows], cols=r)
+
+    def pair(k: Sequence[Rational], z: UniPoly) -> Vector:
+        for kj, (zj, _) in zip(k, reduced):
+            if kj:
+                z = z + zj * kj
+        return (*k, *z.coeff_vector(top))
+
+    kernel = [pair(k, UniPoly.zero()) for k in matrix.nullspace()]
+    if a.is_zero:
+        kernel.append(pair((Fraction(0),) * r, UniPoly.one()))
+    points = []
+    for t, (w, _) in enumerate(reduced[r:]):
+        space = matrix.solve_affine([-row[r + t] for row in rem_rows])
+        points.append(None if space is None else pair(space.particular, w))
+    spaces = iter(echelon_affine(kernel, [p for p in points if p is not None]))
+    return tuple(None if p is None else next(spaces) for p in points)
+
+
 @dataclass(frozen=True)
 class OdeSolutions:
     """Complete polynomial solution set of one ODE z' = a z + c.
@@ -345,7 +461,7 @@ class ParamSolutionSpace:
 
 def solve_parametric(a: UniPoly, bs) -> ParamSolutionSpace:
     """Basis of all pairs (k, z) with z' = a z + sum_j k_j b_j, read off the
-    library's parametric_spaces with the single target 0."""
+    parametric_spaces above with the single target 0."""
     if not bs:
         raise ValueError("need at least one b")
     r = len(bs)

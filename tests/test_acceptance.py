@@ -15,11 +15,13 @@ from conftest import (
     brute_ode_solutions,
     brute_param_nullspace,
     exhaustive_nonneg_kernel,
+    format_poly,
     rand_derivation,
     rand_multipoly_in_prefix,
     rand_triangular,
     rand_unipoly,
     solve_parametric,
+    span_dim,
 )
 from shamsuddin import (
     Derivation,
@@ -35,7 +37,6 @@ from shamsuddin import (
     commutes,
     format_derivation,
     format_endo,
-    format_poly,
     is_simple,
     isotropy_is_trivial,
     isotropy_witness,
@@ -48,7 +49,6 @@ from shamsuddin import (
     parse_poly,
     preimage_bounded,
     rref_rows,
-    span_dim,
 )
 
 X = UniPoly.x()

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import subprocess
@@ -16,9 +17,11 @@ from conftest import (
     iso_rows_oracle,
     multipolys,
     rand_triangular,
+    span_dim,
+    total_y_degree,
     unipolys,
 )
-from shamsuddin import analysis, linalg, ode
+from shamsuddin import analysis, cli, linalg, ode
 from shamsuddin import (
     AffineEndo,
     Derivation,
@@ -46,7 +49,6 @@ from shamsuddin import (
     normalize,
     preimage_bounded,
     sample_isotropy_element,
-    span_dim,
 )
 
 X = UniPoly.x()
@@ -110,6 +112,20 @@ def test_unchecked_simplicity_witness_raises(monkeypatch):
     for a, bs in [(ZERO, [ONE]), (ONE, [X]), (X, [ONE, X])]:
         with pytest.raises(VerificationError):
             is_simple_block(a, bs)
+
+
+def test_unchecked_isotropy_particular_raises(monkeypatch):
+    original = ode.reduce_linear_ode
+
+    def perturbed(a, c):
+        z, rem = original(a, c)
+        return z + X**2, rem
+
+    monkeypatch.setattr(ode, "reduce_linear_ode", perturbed)
+    for a, bs in [(ZERO, [ONE]), (ONE, [X]), (UniPoly.constant(-2), [X, ONE])]:
+        desc = isotropy_describe_block(a, bs)
+        with pytest.raises(VerificationError):
+            desc.row_spaces(1)
 
 
 def test_is_simple_examples():
@@ -235,13 +251,40 @@ def test_describe_constant_a():
 def test_describe_deg_ge_1_identity_only():
     desc = isotropy_describe_block(X, [ONE])
     assert desc.case is IsotropyCase.A_DEG_GE_1 and desc.shift_forced_zero
-    (space,) = desc.rows_at_zero
+    (space,) = desc.row_spaces(0)
     assert space.dim == 0
     assert space.particular == (1,)  # C = (1), no g coefficients
     member = sample_isotropy_element(desc, seed=0)
     assert affine_to_endo(member).is_identity
     with pytest.raises(ValueError):
         desc.row_spaces(1)
+
+
+@pytest.mark.parametrize(
+    "deriv",
+    [
+        "y1: a=0, b=x^2 ; y2: a=0, b=1 ; y3: a=0, b=x",
+        "y1: a=2, b=x^2+1 ; y2: a=2, b=x ; y3: a=2, b=0",
+        "y1: a=x+1, b=x^3 ; y2: a=x+1, b=x^2-1 ; y3: a=x+1, b=1",
+    ],
+)
+def test_describe_reduces_each_b_once(monkeypatch, deriv):
+    """describe builds one block reduction and reads every shift it samples
+    from it: r b's cost at most r calls of reduce_linear_ode."""
+    calls = []
+    for module in (ode, analysis):
+        original = module.reduce_linear_ode
+
+        def counting(a, c, original=original):
+            calls.append(c)
+            return original(a, c)
+
+        monkeypatch.setattr(module, "reduce_linear_ode", counting)
+    for seed in (0, 1, 5, 9):
+        calls.clear()
+        argv = ["describe", "--deriv", deriv, "--seed", str(seed)]
+        assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
+        assert len(calls) <= 3
 
 
 def test_describe_zero_a():
@@ -364,7 +407,7 @@ def test_zero_a_family_nonaffine_member_commutes():
             compose(h2, f) + (y2 - h2.lift(n)),
         ),
     )
-    assert rho.images_of_y[1].total_y_degree == 2  # not affine in y
+    assert total_y_degree(rho.images_of_y[1]) == 2  # not affine in y
     assert commutes(rho, d)
 
 
@@ -455,7 +498,7 @@ def test_preimage_soundness_on_constructed_targets(d, data):
     f = data.draw(multipolys(arity=d.arity, max_deg=2, max_terms=3))
     g = apply_derivation(d, f)
     mx = int(max(3, f.degree_x if not f.is_zero else 0)) + 3
-    my = int(max(1, f.total_y_degree if not f.is_zero else 0))
+    my = int(max(1, total_y_degree(f) if not f.is_zero else 0))
     got = preimage_bounded(d, g, mx, my)
     assert got is not None
     assert apply_derivation(d, got) == g

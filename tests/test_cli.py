@@ -142,13 +142,6 @@ def test_file_and_stdin_inputs(tmp_path, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "simple: true"
 
 
-def test_commute_endo_from_file(tmp_path):
-    path = tmp_path / "endo.txt"
-    path.write_text("x -> x ; y1 -> 2*y1\n", encoding="utf-8")
-    code, out, _ = _run(["commute", "--deriv", "y1: a=1, b=0", "--endo", str(path)])
-    assert code == 0 and out.strip() == "commutes: true"
-
-
 ENDO = "x -> x ; y1 -> 2*y1"
 
 
@@ -181,12 +174,13 @@ def test_commute_inline_endo_prints_no_warning():
     assert (code, out, err) == (0, "commutes: true\n", "")
 
 
-def test_commute_endo_naming_a_file_warns(tmp_path):
+def test_commute_endo_naming_a_file_is_map_text(tmp_path):
+    # --endo is always inline text: the path of a file that holds a valid map
+    # is parsed as map text, and the file is not read
     path = tmp_path / "endo.txt"
     path.write_text(ENDO + "\n", encoding="utf-8")
     code, out, err = _run(["commute", "--deriv", "y1: a=1, b=0", "--endo", str(path)])
-    assert code == 0 and out == "commutes: true\n"
-    assert err == f"warning: reading the file {str(path)!r} given as --endo is deprecated; use --endo-file\n"
+    assert code == 2 and out == "" and err.startswith("parse error: ")
 
 
 OVERLONG = "12345678901234567890^256"

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import derivations, multipolys, rationals, unipolys
+from conftest import (
+    block_derivation,
+    derivations,
+    multipolys,
+    rationals,
+    span_dim,
+    to_triangular,
+    unipolys,
+)
 from shamsuddin import (
     Derivation,
     MultiPoly,
@@ -10,7 +18,6 @@ from shamsuddin import (
     UniPoly,
     apply_derivation,
     normalize,
-    span_dim,
 )
 
 X = UniPoly.x()
@@ -95,10 +102,10 @@ def test_span_dim_examples():
 
 def test_block_derivation_and_to_triangular():
     d = normalize([(X, ONE), (X + 1, ZERO), (X, X)])
-    local = d.block_derivation(0)
+    local = block_derivation(d, 0)
     assert local.arity == 2
     assert local.blocks[0].bs == (ONE, X)
-    tri = d.to_triangular()
+    tri = to_triangular(d)
     assert tri.arity == 3
     f = MultiPoly.y(3, 2) * MultiPoly.x(3)
     assert apply_derivation(tri, f) == apply_derivation(d, f)

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_inverse, derivations, endo_compose, multipolys, small_ints, unipolys
+from conftest import (
+    affine_inverse,
+    block_derivation,
+    derivations,
+    endo_compose,
+    from_coeffs,
+    multipolys,
+    small_ints,
+    unipolys,
+)
 from shamsuddin import (
     AffineEndo,
     MultiPoly,
@@ -154,7 +163,7 @@ def block_derivations(draw):
             a = UniPoly.constant(draw(st.sampled_from([-2, -1, 1, 2, 3])))
         else:
             lower = draw(st.lists(small_ints, min_size=1, max_size=3))
-            a = UniPoly.from_coeffs(lower + [draw(st.sampled_from([-2, -1, 1, 2]))])
+            a = from_coeffs(lower + [draw(st.sampled_from([-2, -1, 1, 2]))])
         for _ in range(draw(st.integers(1, 2))):
             if kind == "degree" and draw(st.booleans()):
                 z = draw(unipolys(2, small_ints))
@@ -169,7 +178,7 @@ def shifted_chains(draw):
     """Blocks a(x) and a(x + c) with deg a >= 1 and c != 0, and a planted
     map x -> x + c, y1 -> y2 + g1, y2 -> g2 that commutes (C is singular),
     so that a_t(x + c) is used on blocks with deg a >= 1 and still commutes."""
-    a = UniPoly.from_coeffs(draw(st.lists(small_ints, min_size=1, max_size=3)) + [1])
+    a = from_coeffs(draw(st.lists(small_ints, min_size=1, max_size=3)) + [1])
     c = draw(st.sampled_from([-2, -1, 1, 2]))
     g1, g2 = draw(unipolys(2, small_ints)), draw(unipolys(2, small_ints))
     a2 = a.shift(c)
@@ -225,7 +234,7 @@ def test_affine_commutes_equals_substitution_check(planted, seed, data):
     for index, blk in enumerate(d.blocks):
         sample = sample_isotropy_element(isotropy_describe_block(blk.a, blk.bs), seed)
         if sample is not None:
-            cases.append((sample, d.block_derivation(index)))
+            cases.append((sample, block_derivation(d, index)))
     cases += [(bad, dd) for rho, dd in list(cases) for bad in _perturbed(rho, dd, data.draw)]
     verdicts = []
     for rho, dd in cases:

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from conftest import (
     brute_ode_solutions,
     brute_param_nullspace,
+    from_coeffs,
     rationals,
     rref_witness_oracle,
     solve_linear_ode,
     solve_parametric,
     unipolys,
 )
-from shamsuddin import UniPoly, degree_bound, has_nonzero_k_solution, reduce_linear_ode, rref_rows
+from shamsuddin import UniPoly, degree_bound, reduce_linear_ode, rref_rows
+from shamsuddin.ode import BlockReduction
 
 X = UniPoly.x()
 ONE = UniPoly.one()
@@ -142,18 +144,18 @@ def test_low_degree_independent_bs_force_trivial_space():
 
 
 def test_has_nonzero_k_examples():
-    assert has_nonzero_k_solution(X, [ONE]) is None
+    assert BlockReduction.of(X, [ONE]).witness() is None
 
-    found = has_nonzero_k_solution(ONE, [X])
+    found = BlockReduction.of(ONE, [X]).witness()
     assert found is not None and found[0] == (1,) and found[1] == -X - 1
 
-    found = has_nonzero_k_solution(ZERO, [ONE])
+    found = BlockReduction.of(ZERO, [ONE]).witness()
     assert found is not None and found[0] == (1,) and found[1] == X
 
 
 @given(unipolys(3), st.lists(unipolys(3), min_size=1, max_size=3))
 def test_nonzero_k_solution_is_normalized_and_valid(a, bs):
-    found = has_nonzero_k_solution(a, bs)
+    found = BlockReduction.of(a, bs).witness()
     if found is None:
         return
     k, z = found
@@ -171,7 +173,7 @@ def blocks(draw):
     a = ZERO
     if deg_a >= 0:
         lower = draw(st.lists(rationals, min_size=deg_a, max_size=deg_a))
-        a = UniPoly.from_coeffs([*lower, draw(rationals.filter(bool))])
+        a = from_coeffs([*lower, draw(rationals.filter(bool))])
     r = draw(st.integers(1, 5))
     bs = [draw(st.just(ZERO) | unipolys(6)) for _ in range(r)]
     if r > 1 and draw(st.booleans()):
@@ -187,7 +189,7 @@ def blocks(draw):
 @given(blocks())
 def test_nonzero_k_solution_equals_full_space_rref(block):
     a, bs = block
-    assert has_nonzero_k_solution(a, bs) == rref_witness_oracle(a, bs)
+    assert BlockReduction.of(a, bs).witness() == rref_witness_oracle(a, bs)
 
 
 def test_solve_parametric_needs_bs():

@@ -12,6 +12,7 @@ from conftest import (
     multipolys,
     rationals,
     shift_oracle,
+    total_y_degree,
     uni_mul_oracle,
     unipolys,
 )
@@ -65,7 +66,7 @@ def test_degree_markers():
     assert UniPoly.constant(5).degree == 0
     assert (X**3 + X).degree == 3
     assert MultiPoly.zero(2).degree_x == NEG_INF
-    assert MultiPoly.zero(2).total_y_degree == NEG_INF
+    assert total_y_degree(MultiPoly.zero(2)) == NEG_INF
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))

@@ -40,6 +40,22 @@ def test_exports_match_imports():
     assert sorted(imported - set(shamsuddin.__all__)) == []
 
 
+def test_every_export_is_used_outside_tests():
+    # a public name that only tests call belongs in tests/conftest.py: each
+    # name in __all__ is read somewhere in the package other than __init__.py
+    # (its own definition does not count) or in the benchmark
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    paths = [p for p in SOURCES if p.name != "__init__.py"] + sorted(bench.glob("*.py"))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(shamsuddin.__all__) - used) == []
+
+
 def test_cli_raises_no_verification_error():
     # results are verified where the library makes them; the CLI only maps
     # VerificationError to exit 4

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic against sympy (a test-only dependency).
+"""Polynomial arithmetic and matrix rank against sympy (a test-only dependency).
 
 sympy's results are read back term by term into our own coefficient types and
 compared as polynomials, never as strings."""
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shamsuddin import MultiPoly, UniPoly
+from shamsuddin import MultiPoly, QMatrix, UniPoly
 
 sympy = pytest.importorskip("sympy")
 
@@ -22,6 +22,23 @@ multis = st.builds(
     st.just(2),
     st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), coeffs), max_size=5),
 )
+
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small matrices with many zero entries, and sometimes a zero row and a
+    zero column."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.just(Fraction(0)) | coeffs
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    zero_row = draw(st.none() | st.integers(0, rows - 1))
+    zero_col = draw(st.none() | st.integers(0, cols - 1))
+    for i, row in enumerate(m):
+        for j in range(cols):
+            if i == zero_row or j == zero_col:
+                row[j] = Fraction(0)
+    return m
 
 
 def _q(value: Fraction):
@@ -67,3 +84,17 @@ def test_unipoly_product_and_power_match_sympy(p, q, e):
 def test_multipoly_product_and_power_match_sympy(f, g, e):
     assert f * g == from_sympy_multi(to_sympy_multi(f) * to_sympy_multi(g))
     assert f**e == from_sympy_multi(to_sympy_multi(f) ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_rank_and_nullspace_match_sympy(rows):
+    cols = len(rows[0])
+    ref = sympy.Matrix([[_q(v) for v in row] for row in rows])
+    kernel = QMatrix(rows, cols=cols).nullspace()
+    assert QMatrix(rows, cols=cols).rank() == ref.rank()
+    assert len(kernel) == len(ref.nullspace()) == cols - ref.rank()
+    for v in kernel:
+        assert ref * sympy.Matrix([_q(e) for e in v]) == sympy.zeros(len(rows), 1)
+    if kernel:
+        assert sympy.Matrix([[_q(e) for e in v] for v in kernel]).rank() == len(kernel)

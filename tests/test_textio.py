@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     derivations,
+    format_poly,
     multipolys,
     rand_multipoly_in_prefix,
     rand_triangular,
@@ -25,7 +26,6 @@ from shamsuddin import (
     UniPoly,
     format_derivation,
     format_endo,
-    format_poly,
     parse_derivation,
     parse_endo,
     parse_poly,
