@@ -5,7 +5,9 @@ Every subcommand reads one derivation (inline ``--deriv``, a file path, or
 with ``--json``.  The library verifies every witness and sample it returns
 (commutation and det C != 0, exactly), so the CLI only prints them.
 
-Exit codes: 0 success, 2 parse error, 3 semantic error (including input
+Exit codes: 0 success, 2 parse error or usage error (argparse's usage text
+goes to the error stream given to ``run``, and ``--help`` prints to its
+output stream with exit 0), 3 semantic error (including input
 whose parenthesised products exceed the parser's work budget, and output with
 a numerator or denominator over ``MAX_OUTPUT_DIGITS`` digits), 4 verification
 failure (a computed witness, sample or preimage failed its exact check, which
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .analysis import (
     IsotropyCase,
@@ -265,7 +268,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -27,10 +27,6 @@ class Block:
         if not self.bs or len(self.bs) != len(self.var_indices):
             raise ValueError("block needs one b per owned variable")
 
-    @property
-    def size(self) -> int:
-        return len(self.bs)
-
 
 @dataclass(frozen=True)
 class Derivation:

@@ -3,8 +3,9 @@
 Dense matrices over Q with fraction-free (Bareiss) Gaussian elimination as the
 workhorse: denominators are cleared row-wise, elimination stays in integers to
 control coefficient growth, and back-substitution returns to Fractions.
-Feasibility of nonnegative kernels is decided by exact Fourier-Motzkin
-elimination with witness extraction.
+Whether a matrix has a nonzero nonnegative kernel vector is decided by a
+phase-I simplex on the same fraction-free pivot, which returns either such
+a vector or a checked Gordan certificate that none exists.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class QMatrix:
         vq = [as_rational(x) for x in v]
         return tuple(sum((r[j] * vq[j] for j in range(self.cols)), Fraction(0)) for r in self._e)
 
-    def rank(self) -> int:
-        _, pivots, _ = _ff_echelon(_int_rows(self._e), self.cols)
-        return len(pivots)
-
     def det(self) -> Rational:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -153,6 +150,17 @@ def _int_rows_scaled(rows) -> tuple[list[list[int]], list[Fraction]]:
     return out, scales
 
 
+def _bareiss_pivot(rows: list[list[int]], r: int, c: int, prev: int, targets: Iterable[int]) -> None:
+    """One fraction-free pivot on (r, c): each target row i becomes
+    (piv * row_i - row_i[c] * row_r) / prev, with piv = row_r[c] and prev the
+    previous pivot.  Every division is exact (Bareiss); row r is unchanged."""
+    row_r = rows[r]
+    piv = row_r[c]
+    for i in targets:
+        f = rows[i][c]
+        rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], row_r)]
+
+
 def _ff_echelon(
     rows: list[list[int]], limit_cols: int
 ) -> tuple[list[list[int]], list[tuple[int, int]], int]:
@@ -163,7 +171,6 @@ def _ff_echelon(
     Returns (echelon rows, pivot positions, number of row swaps).
     """
     n_rows = len(rows)
-    width = len(rows[0]) if rows else limit_cols
     pivots: list[tuple[int, int]] = []
     swaps = 0
     prev = 1
@@ -175,14 +182,9 @@ def _ff_echelon(
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             swaps += 1
-        piv = rows[r][c]
-        for i in range(r + 1, n_rows):
-            fi = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(width):
-                row_i[j] = (piv * row_i[j] - fi * row_r[j]) // prev
+        _bareiss_pivot(rows, r, c, prev, range(r + 1, n_rows))
         pivots.append((r, c))
-        prev = piv
+        prev = rows[r][c]
         r += 1
         if r == n_rows:
             break
@@ -263,100 +265,53 @@ def echelon_affine(
     return tuple(spaces)
 
 
-# -- nonnegative kernel via Fourier-Motzkin ----------------------------------
-
-Ineq = tuple[tuple[Fraction, ...], Fraction]  # coeffs . t + const >= 0
-
-
-def _canon_ineqs(ineqs: Iterable[Ineq]) -> list[Ineq] | None:
-    """Scale to coprime integers and deduplicate; None if a row is plainly false."""
-    seen = set()
-    out: list[Ineq] = []
-    for coeffs, const in ineqs:
-        if not any(coeffs):
-            if const < 0:
-                return None
-            continue
-        m = lcm(*(v.denominator for v in coeffs), const.denominator)
-        ints = [int(v * m) for v in coeffs] + [int(const * m)]
-        g = gcd(*ints)
-        key = tuple(v // g for v in ints)
-        if key not in seen:
-            seen.add(key)
-            out.append((tuple(Fraction(v) for v in key[:-1]), Fraction(key[-1])))
-    return out
-
-
-def _fm_witness(ineqs: list[Ineq], nvars: int) -> list[Fraction] | None:
-    """A point satisfying every inequality, or None; recursion eliminates the
-    last variable and back-substitutes a feasible value on the way out."""
-    canon = _canon_ineqs(ineqs)
-    if canon is None:
-        return None
-    if nvars == 0:
-        return []
-    k = nvars - 1
-    lowers, uppers, rest = [], [], []
-    for coeffs, const in canon:
-        c = coeffs[k]
-        if c == 0:
-            rest.append((coeffs[:k], const))
-        elif c > 0:
-            lowers.append((coeffs, const))
-        else:
-            uppers.append((coeffs, const))
-    combined = list(rest)
-    for lc, lk in lowers:
-        for uc, uk in uppers:
-            scale_l, scale_u = -uc[k], lc[k]
-            coeffs = tuple(scale_l * lc[j] + scale_u * uc[j] for j in range(k))
-            combined.append((coeffs, scale_l * lk + scale_u * uk))
-    sub = _fm_witness(combined, k)
-    if sub is None:
-        return None
-
-    def bound(coeffs: tuple[Fraction, ...], const: Fraction) -> Fraction:
-        s = const + sum((coeffs[j] * sub[j] for j in range(k)), Fraction(0))
-        return -s / coeffs[k]
-
-    lo = max((bound(c, k0) for c, k0 in lowers), default=None)
-    hi = min((bound(c, k0) for c, k0 in uppers), default=None)
-    if lo is not None:
-        value = lo
-    elif hi is not None:
-        value = hi
-    else:
-        value = Fraction(0)
-    return sub + [value]
+# -- nonnegative kernel via a fraction-free phase-I simplex -------------------
 
 
 def nonneg_kernel_witness(matrix: QMatrix) -> tuple[int, ...] | None:
     """A nonzero vector of nonnegative integers in the kernel of the matrix,
     or None if only the zero vector qualifies.
 
-    The kernel is homogeneous, so scaling clears denominators: existence over
-    nonnegative rationals with coordinate sum 1 is decided by Fourier-Motzkin
-    on the nullspace parametrization, then the witness is scaled to integers.
+    Phase I of the simplex method on {A g = 0, sum g = 1, g >= 0}, one
+    artificial per row, in a Bareiss tableau: every entry is the true entry
+    times the current basis determinant prev > 0, so the tableau stays in
+    integers.  Bland's rule (lowest entering column, then the lowest basic
+    index among the tied ratios) makes the pivoting terminate.  By Gordan's
+    alternative the optimum certifies one of two things, each checked here:
+    value 0 gives a dependence g, scaled to coprime integers; a positive
+    value gives the dual u, read off the artificials' reduced costs, with
+    u . A_j > 0 for every column j, so no nonzero g >= 0 has A g = 0.
     """
-    n = matrix.cols
-    basis = matrix.nullspace()
-    if not basis:
-        return None
-    d = len(basis)
-    ineqs: list[Ineq] = []
+    n, m = matrix.cols, matrix.rows
+    scaled, scales = _int_rows_scaled(matrix._e)
+    rows = [row + [int(i == k) for k in range(m + 1)] + [0] for i, row in enumerate(scaled)]
+    rows.append([1] * n + [0] * m + [1, 1])
+    # phase-I cost: 1 on each artificial, so reduced costs are 0 there and
+    # minus the column sums elsewhere; the last entry is minus the value
+    rows.append([-sum(r[j] for r in rows) for j in range(n)] + [0] * (m + 1) + [-1])
+    basis = list(range(n, n + m + 1))
+    prev = 1
+    while (c := next((j for j, v in enumerate(rows[-1][:-1]) if v < 0), None)) is not None:
+        r = min(
+            (i for i in range(m + 1) if rows[i][c] > 0),
+            key=lambda i: (Fraction(rows[i][-1], rows[i][c]), basis[i]),
+        )
+        _bareiss_pivot(rows, r, c, prev, [i for i in range(m + 2) if i != r])
+        prev, basis[r] = rows[r][c], c
+    obj = rows[-1]
+    if obj[-1] == 0:
+        values = [0] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                values[b] = rows[i][-1]
+        g0 = gcd(*values) or 1
+        witness = tuple(v // g0 for v in values)
+        if not (all(v >= 0 for v in witness) and any(witness)) or any(matrix.matvec(witness)):
+            raise VerificationError(f"nonnegative kernel witness {witness} failed its check")
+        return witness
+    u = [s * Fraction(obj[n + i] - prev, prev) for i, s in enumerate(scales)]
     for j in range(n):
-        ineqs.append((tuple(basis[i][j] for i in range(d)), Fraction(0)))
-    total = tuple(sum((basis[i][j] for j in range(n)), Fraction(0)) for i in range(d))
-    ineqs.append((total, Fraction(-1)))
-    ineqs.append((tuple(-s for s in total), Fraction(1)))
-    t = _fm_witness(ineqs, d)
-    if t is None:
-        return None
-    gamma = [sum((t[i] * basis[i][j] for i in range(d)), Fraction(0)) for j in range(n)]
-    m = lcm(*(g.denominator for g in gamma))
-    ints = [int(g * m) for g in gamma]
-    g0 = gcd(*ints)
-    witness = tuple(v // g0 for v in ints)
-    if not (all(v >= 0 for v in witness) and any(witness)) or any(matrix.matvec(witness)):
-        raise VerificationError(f"nonnegative kernel witness {witness} failed its check")
-    return witness
+        if sum((u[i] * matrix.entry(i, j) for i in range(m)), Fraction(0)) <= 0:
+            u_text = ", ".join(map(str, u))
+            raise VerificationError(f"Gordan certificate u = ({u_text}) fails u . A_j > 0 at column {j}")
+    return None

@@ -76,10 +76,6 @@ class UniPoly:
     def x(cls) -> "UniPoly":
         return cls({1: 1})
 
-    @classmethod
-    def constant(cls, value: Scalar) -> "UniPoly":
-        return cls({0: value})
-
     # -- inspection --------------------------------------------------------
 
     @property

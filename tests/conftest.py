@@ -9,7 +9,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from shamsuddin import (
     SemanticError,
     TriangularDerivation,
     UniPoly,
+    VerificationError,
     apply_derivation,
     degree_bound,
     endo_apply,
@@ -110,7 +112,7 @@ def rand_multipoly_in_prefix(
 
 def rand_triangular(rng: random.Random, constant_a: bool, max_arity: int = 3) -> TriangularDerivation:
     n = rng.randint(1, max_arity)
-    a = [UniPoly.constant(rng.randint(-2, 2)) for _ in range(n)]
+    a = [constant_poly(rng.randint(-2, 2)) for _ in range(n)]
     if not constant_a:
         i0 = rng.randrange(n)
         deg = rng.randint(1, 2)
@@ -262,6 +264,104 @@ def basic_nonneg_kernel(matrix: QMatrix):
     return None
 
 
+Ineq = tuple[tuple[Fraction, ...], Fraction]  # coeffs . t + const >= 0
+
+
+def _canon_ineqs(ineqs: Iterable[Ineq]) -> list[Ineq] | None:
+    """Scale to coprime integers and deduplicate; None if a row is plainly false."""
+    seen = set()
+    out: list[Ineq] = []
+    for coeffs, const in ineqs:
+        if not any(coeffs):
+            if const < 0:
+                return None
+            continue
+        m = lcm(*(v.denominator for v in coeffs), const.denominator)
+        ints = [int(v * m) for v in coeffs] + [int(const * m)]
+        g = gcd(*ints)
+        key = tuple(v // g for v in ints)
+        if key not in seen:
+            seen.add(key)
+            out.append((tuple(Fraction(v) for v in key[:-1]), Fraction(key[-1])))
+    return out
+
+
+def _fm_witness(ineqs: list[Ineq], nvars: int) -> list[Fraction] | None:
+    """A point satisfying every inequality, or None; recursion eliminates the
+    last variable and back-substitutes a feasible value on the way out."""
+    canon = _canon_ineqs(ineqs)
+    if canon is None:
+        return None
+    if nvars == 0:
+        return []
+    k = nvars - 1
+    lowers, uppers, rest = [], [], []
+    for coeffs, const in canon:
+        c = coeffs[k]
+        if c == 0:
+            rest.append((coeffs[:k], const))
+        elif c > 0:
+            lowers.append((coeffs, const))
+        else:
+            uppers.append((coeffs, const))
+    combined = list(rest)
+    for lc, lk in lowers:
+        for uc, uk in uppers:
+            scale_l, scale_u = -uc[k], lc[k]
+            coeffs = tuple(scale_l * lc[j] + scale_u * uc[j] for j in range(k))
+            combined.append((coeffs, scale_l * lk + scale_u * uk))
+    sub = _fm_witness(combined, k)
+    if sub is None:
+        return None
+
+    def bound(coeffs: tuple[Fraction, ...], const: Fraction) -> Fraction:
+        s = const + sum((coeffs[j] * sub[j] for j in range(k)), Fraction(0))
+        return -s / coeffs[k]
+
+    lo = max((bound(c, k0) for c, k0 in lowers), default=None)
+    hi = min((bound(c, k0) for c, k0 in uppers), default=None)
+    if lo is not None:
+        value = lo
+    elif hi is not None:
+        value = hi
+    else:
+        value = Fraction(0)
+    return sub + [value]
+
+
+def fm_nonneg_kernel_oracle(matrix: QMatrix) -> tuple[int, ...] | None:
+    """A nonzero vector of nonnegative integers in the kernel of the matrix,
+    or None if only the zero vector qualifies.
+
+    The kernel is homogeneous, so scaling clears denominators: existence over
+    nonnegative rationals with coordinate sum 1 is decided by Fourier-Motzkin
+    on the nullspace parametrization, then the witness is scaled to integers.
+    Doubly exponential in the nullity: an oracle for small matrices only.
+    """
+    n = matrix.cols
+    basis = matrix.nullspace()
+    if not basis:
+        return None
+    d = len(basis)
+    ineqs: list[Ineq] = []
+    for j in range(n):
+        ineqs.append((tuple(basis[i][j] for i in range(d)), Fraction(0)))
+    total = tuple(sum((basis[i][j] for j in range(n)), Fraction(0)) for i in range(d))
+    ineqs.append((total, Fraction(-1)))
+    ineqs.append((tuple(-s for s in total), Fraction(1)))
+    t = _fm_witness(ineqs, d)
+    if t is None:
+        return None
+    gamma = [sum((t[i] * basis[i][j] for i in range(d)), Fraction(0)) for j in range(n)]
+    m = lcm(*(g.denominator for g in gamma))
+    ints = [int(g * m) for g in gamma]
+    g0 = gcd(*ints)
+    witness = tuple(v // g0 for v in ints)
+    if not (all(v >= 0 for v in witness) and any(witness)) or any(matrix.matvec(witness)):
+        raise VerificationError(f"nonnegative kernel witness {witness} failed its check")
+    return witness
+
+
 def affine_space_contains(space, point) -> bool:
     """Exact membership test: point - particular must lie in span(basis)."""
     shifted = [p - q for p, q in zip(point, space.particular)]
@@ -299,6 +399,22 @@ def from_coeffs(ascending) -> UniPoly:
     return UniPoly(enumerate(ascending))
 
 
+def constant_poly(value) -> UniPoly:
+    """The constant polynomial with the given value."""
+    return UniPoly({0: value})
+
+
+def block_size(blk: Block) -> int:
+    """Number of y-variables the block owns."""
+    return len(blk.bs)
+
+
+def matrix_rank(matrix: QMatrix) -> int:
+    """Rank by one Bareiss elimination."""
+    _, pivots, _ = linalg._ff_echelon(linalg._int_rows(matrix.row_list()), matrix.cols)
+    return len(pivots)
+
+
 def total_y_degree(f: MultiPoly) -> int | float:
     """Largest total degree in the y's of a term of f, NEG_INF for f = 0."""
     return max((sum(e[1:]) for e in f.terms()), default=NEG_INF)
@@ -311,8 +427,8 @@ def format_poly(p: MultiPoly | UniPoly) -> str:
 def block_derivation(d: Derivation, block_index: int) -> Derivation:
     """The single-block derivation on its own y's, renumbered 1..r."""
     blk = d.blocks[block_index]
-    local = Block(blk.a, blk.bs, tuple(range(1, blk.size + 1)))
-    return Derivation(blk.size, (local,))
+    local = Block(blk.a, blk.bs, tuple(range(1, block_size(blk) + 1)))
+    return Derivation(block_size(blk), (local,))
 
 
 def to_triangular(d: Derivation) -> TriangularDerivation:

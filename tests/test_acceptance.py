@@ -243,7 +243,7 @@ def test_criterion_5_mz_rules():
                     combo = combo + a * g
                 assert combo.is_zero
 
-        # Fourier-Motzkin decision vs exhaustive/basic search on 3x4 matrices
+        # simplex decision vs exhaustive/basic search on 3x4 matrices
         for _ in range(300):
             matrix = QMatrix([[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)], cols=4)
             got = nonneg_kernel_witness(matrix)

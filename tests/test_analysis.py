@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import shamsuddin
 from conftest import (
     compose,
+    constant_poly,
     dense_preimage_oracle,
     derivations,
     iso_rows_oracle,
@@ -122,7 +123,7 @@ def test_unchecked_isotropy_particular_raises(monkeypatch):
         return z + X**2, rem
 
     monkeypatch.setattr(ode, "reduce_linear_ode", perturbed)
-    for a, bs in [(ZERO, [ONE]), (ONE, [X]), (UniPoly.constant(-2), [X, ONE])]:
+    for a, bs in [(ZERO, [ONE]), (ONE, [X]), (constant_poly(-2), [X, ONE])]:
         desc = isotropy_describe_block(a, bs)
         with pytest.raises(VerificationError):
             desc.row_spaces(1)
@@ -381,7 +382,7 @@ def test_iso_row_spaces_equal_dense_oracle(block):
     [
         (ZERO, [X, ONE], 2),  # a = 0
         (ZERO, [ZERO, X**2], 0),  # a = 0 with a vanishing b
-        (UniPoly.constant(3), [X**2 + 1, X], -1),  # constant a, shift c != 0
+        (constant_poly(3), [X**2 + 1, X], -1),  # constant a, shift c != 0
         (ONE, [X, X * 2, ZERO], 1),  # dependent b's and b_3 = 0
         (X + 1, [X**3, X**2 - 1, X**3 * 2 - X**2 + 1], 0),  # deg a >= 1, b_3 = 2 b_1 - b_2
         (X**2, [ONE, X], 0),  # every deg b_j < deg a: g forced to 0
@@ -414,7 +415,7 @@ def test_zero_a_family_nonaffine_member_commutes():
 def test_locally_finite_examples():
     tri = TriangularDerivation(
         2,
-        (UniPoly.constant(2), UniPoly.constant(-1)),
+        (constant_poly(2), constant_poly(-1)),
         (MultiPoly.zero(2), MultiPoly.y(2, 1) ** 2),
     )
     assert is_locally_finite(tri)
@@ -457,7 +458,7 @@ def test_mz_examples():
 
 def test_mz_multi_block_rules():
     # distinct constants: two blocks, still IS_MZ
-    assert mz_classify(normalize([(ONE, X), (UniPoly.constant(2), ONE)])).tag is MzTag.IS_MZ
+    assert mz_classify(normalize([(ONE, X), (constant_poly(2), ONE)])).tag is MzTag.IS_MZ
     # independent a's with a nonconstant one: NOT_MZ
     verdict = mz_classify(normalize([(X, ONE), (ONE, ONE)]))
     assert verdict.tag is MzTag.NOT_MZ and verdict.gamma is None
@@ -603,8 +604,16 @@ def test_preimage_check_raises_verification_error(monkeypatch):
             "analysis.affine_commutes = lambda rho, d: False",
             "analysis.isotropy_witness(normalize([(ONE, UniPoly.x())]))",
         ),
+        (
+            "analysis.QMatrix.matvec = lambda self, v: (1,) * self.rows",
+            "analysis.nat_dependence_witness([UniPoly.x(), -UniPoly.x()])",
+        ),
+        (
+            "analysis.QMatrix.entry = lambda self, i, j: -self.row(i)[j]",
+            "analysis.nat_dependence_witness([UniPoly.x(), UniPoly.x() + ONE])",
+        ),
     ],
-    ids=["preimage", "isotropy_witness"],
+    ids=["preimage", "isotropy_witness", "dependence", "gordan_certificate"],
 )
 def test_preimage_check_survives_optimize_flag(patch, call):
     code = (

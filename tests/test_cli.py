@@ -131,6 +131,28 @@ def test_error_exit_codes():
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code, stream",
+    [
+        (["nosuch"], 2, "err"),
+        ([], 2, "err"),
+        (["simple", "--deriv", SIMPLE, "--bogus"], 2, "err"),
+        (["preimage", "--deriv", SIMPLE, "--target", "y1", "--max-y-deg", "two"], 2, "err"),
+        (["--help"], 0, "out"),
+        (["mz", "--help"], 0, "out"),
+    ],
+)
+def test_usage_text_goes_to_the_given_streams(capsys, argv, code, stream):
+    # argparse's usage and error text reach run's own streams, never the
+    # process's stdout or stderr; usage errors share exit 2 with parse errors
+    got, out, err = _run(argv)
+    assert got == code
+    texts = {"out": out, "err": err}
+    assert texts.pop(stream).startswith("usage: shamsuddin")
+    assert texts.popitem()[1] == ""
+    assert capsys.readouterr() == ("", "")
+
+
 def test_file_and_stdin_inputs(tmp_path, monkeypatch):
     path = tmp_path / "d.txt"
     path.write_text(SIMPLE + "\n", encoding="utf-8")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     affine_inverse,
     block_derivation,
+    constant_poly,
     derivations,
     endo_compose,
     from_coeffs,
@@ -160,7 +161,7 @@ def block_derivations(draw):
         if kind == "zero":
             a = ZERO
         elif kind == "constant":
-            a = UniPoly.constant(draw(st.sampled_from([-2, -1, 1, 2, 3])))
+            a = constant_poly(draw(st.sampled_from([-2, -1, 1, 2, 3])))
         else:
             lower = draw(st.lists(small_ints, min_size=1, max_size=3))
             a = from_coeffs(lower + [draw(st.sampled_from([-2, -1, 1, 2]))])

@@ -1,11 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exhaustive_nonneg_kernel, fraction_rref_rank, matrix_inverse, q_matrices, small_ints
-from shamsuddin import QMatrix, linalg, nonneg_kernel_witness, rref_rows
+from conftest import (
+    basic_nonneg_kernel,
+    constant_poly,
+    exhaustive_nonneg_kernel,
+    fm_nonneg_kernel_oracle,
+    fraction_rref_rank,
+    matrix_inverse,
+    matrix_rank,
+    q_matrices,
+    rand_unipoly,
+    rationals,
+    small_ints,
+)
+from shamsuddin import QMatrix, UniPoly, linalg, nat_dependence_witness, nonneg_kernel_witness, rref_rows
 
 
 def test_solve_affine_examples():
@@ -28,17 +41,17 @@ def test_solve_affine_verified_by_substitution(matrix, data):
         # cross-check: an inconsistent system stays inconsistent when solved
         # through the augmented-rank criterion
         aug = QMatrix([list(r) + [b] for r, b in zip(matrix.row_list(), rhs)], cols=matrix.cols + 1)
-        assert aug.rank() == matrix.rank() + 1
+        assert matrix_rank(aug) == matrix_rank(matrix) + 1
         return
     assert matrix.matvec(space.particular) == tuple(Fraction(b) for b in rhs)
     for vec in space.basis:
         assert not any(matrix.matvec(vec))
-    assert len(space.basis) == matrix.cols - matrix.rank()
+    assert len(space.basis) == matrix.cols - matrix_rank(matrix)
 
 
 @given(q_matrices())
 def test_rank_matches_fraction_rref(matrix):
-    assert matrix.rank() == fraction_rref_rank(matrix)
+    assert matrix_rank(matrix) == fraction_rref_rank(matrix)
 
 
 @given(q_matrices())
@@ -46,7 +59,7 @@ def test_nullspace_is_exact(matrix):
     basis = matrix.nullspace()
     for vec in basis:
         assert not any(matrix.matvec(vec))
-    assert len(basis) == matrix.cols - matrix.rank()
+    assert len(basis) == matrix.cols - matrix_rank(matrix)
     # linear independence: reduced form keeps every row
     assert len(rref_rows(basis)) == len(basis)
 
@@ -65,7 +78,7 @@ def test_det_and_inverse(n, data):
     )
     matrix = QMatrix(entries, cols=n)
     det = matrix.det()
-    assert (det != 0) == (matrix.rank() == n)
+    assert (det != 0) == (matrix_rank(matrix) == n)
     inv = matrix_inverse(matrix)
     if det == 0:
         assert inv is None
@@ -113,7 +126,7 @@ def test_det_known_values():
 
 def test_empty_and_degenerate_shapes():
     empty = QMatrix([], cols=3)
-    assert empty.rank() == 0
+    assert matrix_rank(empty) == 0
     assert len(empty.nullspace()) == 3
     space = empty.solve_affine([])
     assert space.particular == (0, 0, 0) and len(space.basis) == 3
@@ -143,6 +156,68 @@ def test_nonneg_kernel_against_exhaustive_search(matrix):
         assert not any(matrix.matvec(witness))
     if brute is not None:
         assert witness is not None
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Rational matrices up to 5 x 6, including the empty shapes, with a
+    zero row, a zero column or a repeated column mixed in."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entries = [[draw(rationals) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols:
+        if draw(st.booleans()):
+            entries[draw(st.integers(0, rows - 1))] = [0] * cols
+        if draw(st.booleans()):
+            j = draw(st.integers(0, cols - 1))
+            for row in entries:
+                row[j] = 0
+        if cols > 1 and draw(st.booleans()):
+            src, dst = draw(st.permutations(range(cols)))[:2]
+            for row in entries:
+                row[dst] = row[src]
+    return QMatrix(entries, cols=cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_matrices())
+def test_nonneg_kernel_matches_fourier_motzkin(matrix):
+    witness = nonneg_kernel_witness(matrix)
+    assert (witness is None) == (fm_nonneg_kernel_oracle(matrix) is None) == (basic_nonneg_kernel(matrix) is None)
+    if witness is not None:
+        assert all(isinstance(v, int) and v >= 0 for v in witness) and any(witness)
+        assert not any(matrix.matvec(witness))
+
+
+def _combination(gamma, a_list) -> UniPoly:
+    out = UniPoly.zero()
+    for g, a in zip(gamma, a_list):
+        out = out + a * g
+    return out
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_no_dependence_when_every_a_j_is_positive_at_a_point(n):
+    # sizes Fourier-Motzkin cannot finish; evaluation at t is itself a
+    # functional positive on every a_j, so None is the right answer
+    rng = random.Random(n)
+    t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    a_list = []
+    for _ in range(n):
+        a = rand_unipoly(rng, max_deg=3, lo=-5, hi=5)
+        a_list.append(a + constant_poly(rng.randint(1, 5) - a(t)))
+    assert all(a(t) > 0 for a in a_list)
+    assert nat_dependence_witness(a_list) is None
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_planted_dependence_is_found(n):
+    rng = random.Random(100 + n)
+    a_list = [rand_unipoly(rng, max_deg=3, lo=-5, hi=5, allow_zero=False) for _ in range(n - 1)]
+    planted = [rng.randint(0, 3) for _ in range(n - 1)] + [rng.randint(1, 3)]
+    a_list.append(_combination(planted, a_list) * Fraction(-1, planted[-1]))
+    gamma = nat_dependence_witness(a_list)
+    assert gamma is not None and all(isinstance(v, int) and v >= 0 for v in gamma) and any(gamma)
+    assert _combination(gamma, a_list).is_zero
 
 
 @given(q_matrices())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_ode_solutions,
     brute_param_nullspace,
+    constant_poly,
     from_coeffs,
     rationals,
     rref_witness_oracle,
@@ -81,7 +82,7 @@ def test_ode_matches_bruteforce(a, c):
 
 @given(st.integers(-5, -1).map(Fraction) | st.integers(1, 5).map(Fraction), unipolys(4))
 def test_constant_a_always_uniquely_solvable(a_const, c):
-    sol = solve_linear_ode(UniPoly.constant(a_const), c)
+    sol = solve_linear_ode(constant_poly(a_const), c)
     assert sol.particular is not None and sol.homogeneous_dim == 0
     assert sol.particular.degree == c.degree
 
@@ -210,4 +211,4 @@ def test_reduce_linear_ode_examples():
     assert reduce_linear_ode(X, X**2 + 1) == (X, ZERO)  # (x)' + x*x = x^2 + 1
     assert reduce_linear_ode(X**2, X + 3) == (ZERO, X + 3)
     assert reduce_linear_ode(ZERO, X) == (X**2 * Fraction(1, 2), ZERO)
-    assert reduce_linear_ode(UniPoly.constant(2), X) == (X * Fraction(1, 2) - Fraction(1, 4), ZERO)
+    assert reduce_linear_ode(constant_poly(2), X) == (X * Fraction(1, 2) - Fraction(1, 4), ZERO)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     compose,
+    constant_poly,
     multi_mul_oracle,
     multipolys,
     rationals,
@@ -63,7 +64,7 @@ def test_partial_examples():
 
 def test_degree_markers():
     assert UniPoly.zero().degree == NEG_INF
-    assert UniPoly.constant(5).degree == 0
+    assert constant_poly(5).degree == 0
     assert (X**3 + X).degree == 3
     assert MultiPoly.zero(2).degree_x == NEG_INF
     assert total_y_degree(MultiPoly.zero(2)) == NEG_INF

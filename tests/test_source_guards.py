@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -40,10 +41,17 @@ def test_exports_match_imports():
     assert sorted(imported - set(shamsuddin.__all__)) == []
 
 
+def _public_members(cls: type) -> list[str]:
+    """Public methods and properties a class defines itself."""
+    kinds = (FunctionType, property, classmethod, staticmethod)
+    return [attr for attr, val in vars(cls).items() if not attr.startswith("_") and isinstance(val, kinds)]
+
+
 def test_every_export_is_used_outside_tests():
     # a public name that only tests call belongs in tests/conftest.py: each
-    # name in __all__ is read somewhere in the package other than __init__.py
-    # (its own definition does not count) or in the benchmark
+    # name in __all__, and each public method and property of an exported
+    # class the package defines, is read somewhere in the package other than
+    # __init__.py (its own definition does not count) or in the benchmark
     bench = Path(__file__).resolve().parents[1] / "bench"
     paths = [p for p in SOURCES if p.name != "__init__.py"] + sorted(bench.glob("*.py"))
     used = set()
@@ -54,6 +62,14 @@ def test_every_export_is_used_outside_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(shamsuddin.__all__) - used) == []
+    members = {
+        f"{name}.{attr}"
+        for name in shamsuddin.__all__
+        if isinstance(cls := getattr(shamsuddin, name), type) and cls.__module__.startswith("shamsuddin.")
+        for attr in _public_members(cls)
+        if attr not in used
+    }
+    assert sorted(members) == []
 
 
 def test_cli_raises_no_verification_error():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matrix_rank
 from shamsuddin import MultiPoly, QMatrix, UniPoly
 
 sympy = pytest.importorskip("sympy")
@@ -92,7 +93,7 @@ def test_rank_and_nullspace_match_sympy(rows):
     cols = len(rows[0])
     ref = sympy.Matrix([[_q(v) for v in row] for row in rows])
     kernel = QMatrix(rows, cols=cols).nullspace()
-    assert QMatrix(rows, cols=cols).rank() == ref.rank()
+    assert matrix_rank(QMatrix(rows, cols=cols)) == ref.rank()
     assert len(kernel) == len(ref.nullspace()) == cols - ref.rank()
     for v in kernel:
         assert ref * sympy.Matrix([_q(e) for e in v]) == sympy.zeros(len(rows), 1)

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    block_size,
+    constant_poly,
     derivations,
     format_poly,
     multipolys,
@@ -85,7 +87,7 @@ def test_parse_derivation_examples():
 
     d = parse_derivation("y1: a=x, b=1 ; y2: a=x, b=x")
     assert isinstance(d, Derivation)
-    assert len(d.blocks) == 1 and d.blocks[0].size == 2
+    assert len(d.blocks) == 1 and block_size(d.blocks[0]) == 2
 
     d = parse_derivation("y1: a=1, b=0 ; y2: a=2, b=y1^2")
     assert isinstance(d, TriangularDerivation)
@@ -327,7 +329,7 @@ def test_flat_input_needs_no_polynomial_arithmetic(monkeypatch):
     )
     a = rand_unipoly(rng, 3, allow_zero=False)
     deriv = " ; ".join(
-        f"y{j}: a={a}, b={rand_unipoly(rng, 60, allow_zero=False) * UniPoly.constant(Fraction(1, 7))}"
+        f"y{j}: a={a}, b={rand_unipoly(rng, 60, allow_zero=False) * constant_poly(Fraction(1, 7))}"
         for j in range(1, 7)
     )
     expected = (reference_parse_poly(flat, 1), reference_parse_derivation(deriv))
