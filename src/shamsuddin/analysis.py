@@ -329,6 +329,12 @@ def preimage_bounded(
     particular solution gives f.  Without such a dependence there are no t's,
     and the first nonzero remainder or coefficient means no preimage.
 
+    Without a dependence every A_gamma with gamma != 0 is nonzero, so every
+    level above deg_y g solves to z_gamma = 0 and adds no condition: the
+    levels start at deg_y g.  The dependence is decided
+    (nat_dependence_witness) only when deg_y g < max_y_total_deg, and with
+    one the levels start at max_y_total_deg.
+
     A returned f lies in the box and satisfies the equation exactly, or
     VerificationError is raised; None only means no preimage exists within
     the box.
@@ -344,12 +350,15 @@ def preimage_bounded(
     if any(sum(ye) > max_y_total_deg for ye in goal):
         return None
     pairs = d.coeff_pairs()
+    top = max(map(sum, goal), default=-1)
+    if top < max_y_total_deg and nat_dependence_witness([a for a, _ in pairs]) is not None:
+        top = max_y_total_deg
     # z[gamma][0] + sum_k t_k z[gamma][k]; one list entry per free constant
     z: dict[tuple[int, ...], list[UniPoly]] = {}
     # rows [constant, coefficient of t_1, ...] whose affine value must vanish
     conditions: list[list[Rational]] = []
     num_t = 0
-    for total in range(max_y_total_deg, -1, -1):
+    for total in range(top, -1, -1):
         for gamma in _y_levels(n, total):
             rhs = [UniPoly(goal.get(gamma, {}))] + [UniPoly.zero()] * num_t
             a_gamma = UniPoly.zero()

@@ -1,8 +1,9 @@
 """Exact rational linear algebra.
 
-Dense matrices over Q with fraction-free (Bareiss) Gaussian elimination as the
-workhorse: denominators are cleared row-wise, elimination stays in integers to
-control coefficient growth, and back-substitution returns to Fractions.
+Dense matrices over Q with one elimination for every solve: denominators are
+cleared row-wise and fraction-free (Bareiss) Gauss-Jordan elimination runs in
+integers, leaving every pivot entry equal to one common pivot d, so each entry
+of a reduced row, kernel vector or solution is one Fraction over d.
 Whether a matrix has a nonzero nonnegative kernel vector is decided by a
 phase-I simplex on the same fraction-free pivot, which returns either such
 a vector or a checked Gordan certificate that none exists.
@@ -118,8 +119,7 @@ class QMatrix:
         ech, pivots, _ = _ff_echelon(_int_rows(aug), self.cols)
         if any(ech[r][self.cols] for r in range(len(pivots), self.rows)):
             return None
-        particular = _back_substitute(ech, pivots, self.cols, rhs=self.cols)
-        return AffineSpace(particular, _nullspace(ech, pivots, self.cols))
+        return AffineSpace(_solution(ech, pivots, self.cols), _nullspace(ech, pivots, self.cols))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QMatrix):
@@ -145,30 +145,34 @@ def _int_rows_scaled(rows) -> tuple[list[list[int]], list[Fraction]]:
     out, scales = [], []
     for row in rows:
         m = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * m) for v in row])
+        out.append([v.numerator * (m // v.denominator) for v in row])
         scales.append(Fraction(m))
     return out, scales
 
 
-def _bareiss_pivot(rows: list[list[int]], r: int, c: int, prev: int, targets: Iterable[int]) -> None:
-    """One fraction-free pivot on (r, c): each target row i becomes
+def _bareiss_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> None:
+    """One fraction-free pivot on (r, c): every other row i becomes
     (piv * row_i - row_i[c] * row_r) / prev, with piv = row_r[c] and prev the
     previous pivot.  Every division is exact (Bareiss); row r is unchanged."""
     row_r = rows[r]
     piv = row_r[c]
-    for i in targets:
-        f = rows[i][c]
-        rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], row_r)]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, row_r)]
 
 
 def _ff_echelon(
     rows: list[list[int]], limit_cols: int
 ) -> tuple[list[list[int]], list[tuple[int, int]], int]:
-    """Bareiss fraction-free row echelon form.
+    """Bareiss fraction-free reduced row echelon form.
 
     Pivots are chosen left to right among the first limit_cols columns only
     (extra columns, e.g. an augmented right-hand side, are carried along).
-    Returns (echelon rows, pivot positions, number of row swaps).
+    Each pivot clears its column in every other row, so at the end every
+    pivot entry equals the last pivot d, and pivot row r divided by d is row
+    r of the reduced row echelon form.
+    Returns (reduced rows, pivot positions, number of row swaps).
     """
     n_rows = len(rows)
     pivots: list[tuple[int, int]] = []
@@ -182,7 +186,7 @@ def _ff_echelon(
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             swaps += 1
-        _bareiss_pivot(rows, r, c, prev, range(r + 1, n_rows))
+        _bareiss_pivot(rows, r, c, prev)
         pivots.append((r, c))
         prev = rows[r][c]
         r += 1
@@ -191,25 +195,21 @@ def _ff_echelon(
     return rows, pivots, swaps
 
 
-def _back_substitute(ech, pivots, cols: int, free: int | None = None, rhs: int | None = None) -> Vector:
-    """The v with v[free] = 1 and 0 at every other free column that solves
-    the echelon rows over their first cols columns, against echelon column
-    rhs (or 0 when rhs is None)."""
-    v = [Fraction(0)] * cols
-    if free is not None:
-        v[free] = Fraction(1)
-    for r, c in reversed(pivots):
+def _solution(ech, pivots, cols: int, free: int | None = None) -> Vector:
+    """The v solving the reduced rows over their first cols columns, either
+    against 0 with v[free] = 1 and 0 at every other free column, or (free is
+    None) against column cols with 0 at every free column: pivot row r reads
+    d v[c] + row_r[free] = 0, or d v[c] = row_r[cols]."""
+    v = [Fraction(int(j == free)) for j in range(cols)]
+    for r, c in pivots:
         row = ech[r]
-        s = sum((row[j] * v[j] for j in range(c + 1, cols)), Fraction(0))
-        if rhs is not None:
-            s -= row[rhs]
-        v[c] = -s / row[c]
+        v[c] = Fraction(row[cols] if free is None else -row[free], row[c])
     return tuple(v)
 
 
 def _nullspace(ech, pivots, cols: int) -> tuple[Vector, ...]:
     pivot_cols = {c for _, c in pivots}
-    return tuple(_back_substitute(ech, pivots, cols, free=f) for f in range(cols) if f not in pivot_cols)
+    return tuple(_solution(ech, pivots, cols, free=f) for f in range(cols) if f not in pivot_cols)
 
 
 def rref_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
@@ -218,26 +218,11 @@ def rref_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
     The result is a canonical basis of the row space, so two spans are equal
     iff their rref_rows agree.
     """
-    rows = [[as_rational(v) for v in row] for row in vectors]
+    rows = _int_rows([[as_rational(v) for v in row] for row in vectors])
     if not rows:
         return ()
-    cols = len(rows[0])
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r])
+    ech, pivots, _ = _ff_echelon(rows, len(rows[0]))
+    return tuple(tuple(Fraction(v, ech[r][c]) for v in ech[r]) for r, c in pivots)
 
 
 def echelon_affine(
@@ -296,7 +281,7 @@ def nonneg_kernel_witness(matrix: QMatrix) -> tuple[int, ...] | None:
             (i for i in range(m + 1) if rows[i][c] > 0),
             key=lambda i: (Fraction(rows[i][-1], rows[i][c]), basis[i]),
         )
-        _bareiss_pivot(rows, r, c, prev, [i for i in range(m + 2) if i != r])
+        _bareiss_pivot(rows, r, c, prev)
         prev, basis[r] = rows[r][c], c
     obj = rows[-1]
     if obj[-1] == 0:

@@ -37,7 +37,7 @@ from shamsuddin import (
     rref_rows,
 )
 from shamsuddin.linalg import Vector, echelon_affine
-from shamsuddin.polynomials import NEG_INF
+from shamsuddin.polynomials import NEG_INF, as_rational
 from shamsuddin.textio import MAX_DEPTH, MAX_EXPONENT, _split_entries
 
 # -- hypothesis strategies ----------------------------------------------------
@@ -235,9 +235,9 @@ def exhaustive_nonneg_kernel(matrix: QMatrix, max_entry: int = 5):
     """Smallest nonzero gamma >= 0 with A gamma = 0 and entries <= max_entry,
     by full enumeration.  Conclusive only in the positive direction: a miss
     does not rule out witnesses with larger entries."""
-    n = matrix.cols
-    for gamma in itertools.product(range(max_entry + 1), repeat=n):
-        if any(gamma) and not any(matrix.matvec(gamma)):
+    rows = linalg._int_rows(matrix.row_list())
+    for gamma in itertools.product(range(max_entry + 1), repeat=matrix.cols):
+        if any(gamma) and not any(sum(a * g for a, g in zip(row, gamma)) for row in rows):
             return gamma
     return None
 
@@ -373,21 +373,32 @@ def affine_space_contains(space, point) -> bool:
 
 def fraction_rref_rank(matrix: QMatrix) -> int:
     """Rank by plain fraction Gauss-Jordan, independent of the Bareiss path."""
-    rows = matrix.row_list()
-    rank = 0
-    for c in range(matrix.cols):
-        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+    return len(rref_rows_oracle(matrix.row_list()))
+
+
+def rref_rows_oracle(vectors) -> tuple[tuple[Fraction, ...], ...]:
+    """Reduced row echelon form of the given row vectors, zero rows dropped,
+    by plain Fraction Gauss-Jordan (the original rref_rows)."""
+    rows = [[as_rational(v) for v in row] for row in vectors]
+    if not rows:
+        return ()
+    cols = len(rows[0])
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        piv = rows[rank][c]
-        rows[rank] = [v / piv for v in rows[rank]]
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        rows[r] = [v / piv for v in rows[r]]
         for i in range(len(rows)):
-            if i != rank and rows[i][c]:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [u - f * w for u, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r])
 
 
 
@@ -613,8 +624,8 @@ def matrix_inverse(matrix: QMatrix) -> QMatrix | None:
     ech, pivots, _ = linalg._ff_echelon(linalg._int_rows(aug), n)
     if len(pivots) < n:
         return None
-    cols = [linalg._back_substitute(ech, pivots, n, rhs=n + j) for j in range(n)]
-    return QMatrix([[cols[j][i] for j in range(n)] for i in range(n)], cols=n)
+    # pivot i sits at (i, i), so row i of the reduced [d I | d A^-1] over d is row i of A^-1
+    return QMatrix([[Fraction(v, row[i]) for v in row[n:]] for i, row in enumerate(ech)], cols=n)
 
 
 def affine_inverse(rho: AffineEndo) -> AffineEndo:

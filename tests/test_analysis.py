@@ -586,6 +586,42 @@ def test_graded_preimage_dependent_kernel():
     assert not _check_against_dense(d, MultiPoly(2, {(0, 1, 1): 1}), 3, 2)
 
 
+def test_preimage_without_dependence_starts_at_the_target_degree(monkeypatch):
+    # without an N-dependence every level above deg_y g solves to 0, so a large
+    # y-degree cap solves no more levels than the target's own y-degree
+    calls = []
+    reduce = analysis.reduce_linear_ode
+
+    def bounded(a, b):
+        calls.append(a)
+        if len(calls) > 20:
+            raise AssertionError("preimage solved levels above the target's y-degree")
+        return reduce(a, b)
+
+    monkeypatch.setattr(analysis, "reduce_linear_ode", bounded)
+    y = [MultiPoly.y(3, j) for j in (1, 2, 3)]
+    cases = [
+        (normalize([(X, ONE)]), MultiPoly.x(1) * MultiPoly.y(1, 1), 100000),
+        (normalize([(X, ONE), (X + 1, X), (X**2 + 1, ONE)]), y[0] * y[1] + MultiPoly.x(3) * y[2], 93),
+    ]
+    for d, f, cap in cases:
+        assert nat_dependence_witness([a for a, _ in d.coeff_pairs()]) is None
+        g = apply_derivation(d, f)
+        calls.clear()
+        assert preimage_bounded(d, g, 8, cap) == f
+        calls.clear()
+        assert preimage_bounded(d, g, 8, total_y_degree(g)) == f
+    # with a dependence a preimage may need levels above deg_y g: a2 = -a1
+    # gives D(y1*y2) = y1 + y2
+    d = normalize([(X, ONE), (-X, ONE)])
+    g = MultiPoly.y(2, 1) + MultiPoly.y(2, 2)
+    calls.clear()
+    assert preimage_bounded(d, g, 2, 1) is None
+    calls.clear()
+    got = preimage_bounded(d, g, 2, 2)
+    assert got is not None and apply_derivation(d, got) == g
+
+
 def test_preimage_check_raises_verification_error(monkeypatch):
     d = normalize([(ONE, ONE)])
     monkeypatch.setattr(analysis, "apply_derivation", lambda d, f: MultiPoly.zero(d.arity))

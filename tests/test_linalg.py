@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     q_matrices,
     rand_unipoly,
     rationals,
+    rref_rows_oracle,
     small_ints,
 )
 from shamsuddin import QMatrix, UniPoly, linalg, nat_dependence_witness, nonneg_kernel_witness, rref_rows
@@ -111,6 +112,10 @@ def test_each_solve_eliminates_once(monkeypatch):
         lambda: QMatrix([], cols=2).solve_affine([]),
         lambda: matrix_inverse(invertible),
         lambda: matrix_inverse(singular),
+        lambda: rref_rows(wide.row_list()),
+        lambda: rref_rows(singular.row_list()),
+        invertible.det,
+        singular.det,
     ]
     for run in runs:
         calls.clear()
@@ -225,3 +230,34 @@ def test_rref_rows_canonicalizes_row_space(matrix):
     rows = matrix.row_list()
     shuffled = rows[::-1] + [[2 * v for v in rows[0]]]
     assert rref_rows(rows + [rows[0]]) == rref_rows(shuffled + rows[1:])
+
+
+@st.composite
+def row_lists(draw):
+    """Rational row vectors up to 6 x 6, including no rows and empty rows,
+    with a zero row or a repeated, rescaled row mixed in."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    vectors = [[draw(rationals) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        vectors[draw(st.integers(0, rows - 1))] = [0] * cols
+    if rows > 1 and draw(st.booleans()):
+        scale, src = draw(rationals), draw(st.integers(0, rows - 1))
+        vectors[draw(st.integers(0, rows - 1))] = [scale * v for v in vectors[src]]
+    return vectors
+
+
+@settings(max_examples=100)
+@given(row_lists())
+def test_rref_rows_matches_fraction_gauss_jordan(vectors):
+    got = rref_rows(vectors)
+    assert got == rref_rows_oracle(vectors)
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+@example(QMatrix([[1, 2], [3, 4]]))
+@given(q_matrices(max_rows=5, max_cols=5))
+def test_ff_echelon_is_reduced(matrix):
+    rows, pivots, _ = linalg._ff_echelon(linalg._int_rows(matrix.row_list()), matrix.cols)
+    for r, c in pivots:
+        assert rows[r][c] == rows[pivots[-1][0]][pivots[-1][1]]
+        assert all(not row[c] for i, row in enumerate(rows) if i != r)
