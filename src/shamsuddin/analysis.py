@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .derivations import AnyDerivation, Block, Derivation, apply_derivation
 from .endos import AffineEndo, affine_commutes, affine_is_automorphism
-from .linalg import AffineSpace, QMatrix, VerificationError, nonneg_kernel_witness
+from .linalg import QMatrix, VerificationError, nonneg_kernel_witness
 from .ode import BlockReduction, reduce_linear_ode
 from .polynomials import MultiPoly, Rational, UniPoly
 
@@ -137,55 +137,37 @@ class IsotropyCase(Enum):
 
 @dataclass(frozen=True)
 class IsotropyDescription:
-    """Parametrization of the commuting automorphisms of a single block.
+    """Parametrization of the commuting automorphisms of a single block,
+    read off the block's one reduction (``reduction``) in one of three cases.
 
     a = 0: the full family is x -> x + p(w1..wr), y_t -> h_t(x + p) + q_t(w),
-    where w_t = y_t - h_t(x), h_t is the antiderivative of b_t, p is any
-    polynomial in the w's and (x + p, q_1..q_r) is any automorphism; h is
-    stored here and (p, q) stay free slots.
+    where w_t = y_t - h_t(x), h_t = reduction.zs[t] is the antiderivative of
+    b_t, p is any polynomial in the w's and (x + p, q_1..q_r) is any
+    automorphism; (p, q) stay free slots.
 
     a != 0: every member is affine, x -> x + c and y_t -> sum_j C[t][j] y_j
     + g_t(x); the shift c is forced to 0 when deg a >= 1 and is a free
     parameter when a is a nonzero constant.  For a fixed shift, row t of
-    (C, g) ranges over an affine solution space with unknowns
-    (C[t][1..r], coefficients of g_t), read off the block's one reduction
-    for every shift (BlockReduction.isotropy_rows); membership additionally
-    requires det C != 0.
+    (C, g) ranges over the affine space reduction.isotropy_rows(c)[t] with
+    unknowns (C[t][1..r], coefficients of g_t up to reduction.bound);
+    membership additionally requires det C != 0.
     """
 
     case: IsotropyCase
-    a: UniPoly
-    bs: tuple[UniPoly, ...]
-    shift_forced_zero: bool
-    h: tuple[UniPoly, ...] | None
     reduction: BlockReduction
-    g_bound: int | None
 
     @property
-    def arity(self) -> int:
-        return len(self.bs)
-
-    def row_spaces(self, c: Rational | int = 0) -> tuple[AffineSpace, ...]:
-        """Affine row spaces of (C-row, g coefficients) at the given shift."""
-        return self.reduction.isotropy_rows(c)
+    def shift_forced_zero(self) -> bool:
+        return self.case is IsotropyCase.A_DEG_GE_1
 
 
 def isotropy_describe_block(a: UniPoly, bs: Sequence[UniPoly]) -> IsotropyDescription:
     """Structured description of the commuting automorphisms of one block."""
-    reduction = BlockReduction.of(a, bs)
     if a.is_zero:
         case = IsotropyCase.A_ZERO
     else:
         case = IsotropyCase.A_CONST if a.degree == 0 else IsotropyCase.A_DEG_GE_1
-    return IsotropyDescription(
-        case,
-        a,
-        reduction.bs,
-        shift_forced_zero=case is IsotropyCase.A_DEG_GE_1,
-        h=reduction.zs if case is IsotropyCase.A_ZERO else None,
-        reduction=reduction,
-        g_bound=reduction.bound,
-    )
+    return IsotropyDescription(case, BlockReduction.of(a, bs))
 
 
 def sample_isotropy_element(desc: IsotropyDescription, seed: int = 0) -> AffineEndo | None:
@@ -201,13 +183,14 @@ def sample_isotropy_element(desc: IsotropyDescription, seed: int = 0) -> AffineE
     ``affine_commutes``, and a failure raises VerificationError.
     """
     rng = random.Random(seed)
-    r = desc.arity
-    block = Derivation(r, (Block(desc.a, desc.bs, tuple(range(1, r + 1))),))
+    red = desc.reduction
+    r = len(red.bs)
+    block = Derivation(r, (Block(red.a, red.bs, tuple(range(1, r + 1))),))
     if desc.case is IsotropyCase.A_ZERO:
         shift = Fraction(rng.randint(-2, 2))
         rows = [[Fraction(0)] * r for _ in range(r)]
         gs = []
-        for t, ht in enumerate(desc.h):
+        for t, ht in enumerate(red.zs):
             scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
             offset = Fraction(rng.randint(-2, 2))
             rows[t][t] = scale
@@ -217,9 +200,8 @@ def sample_isotropy_element(desc: IsotropyDescription, seed: int = 0) -> AffineE
         return rho
     for _ in range(_SAMPLE_ATTEMPTS):
         c = Fraction(0) if desc.shift_forced_zero else Fraction(rng.randint(-3, 3))
-        spaces = desc.row_spaces(c)
         c_rows, gs = [], []
-        for space in spaces:
+        for space in red.isotropy_rows(c):
             weights = [rng.randint(-2, 2) for _ in range(space.dim)]
             point = space.point(weights)
             c_rows.append(point[:r])

@@ -164,15 +164,15 @@ def _cmd_describe(args):
     lines.append("shift: fixed to 0" if desc.shift_forced_zero else "shift: free parameter c")
     payload["shift_free"] = not desc.shift_forced_zero
     if desc.case is IsotropyCase.A_ZERO:
-        for t, h in enumerate(desc.h, start=1):
+        for t, h in enumerate(desc.reduction.zs, start=1):
             lines.append(f"h{t} = {h}")
         lines.append(
             "members: x -> x + p, y_t -> h_t(x + p) + q_t with p, q free in the "
             "shifted variables y_t - h_t(x) and (x + p, q) invertible"
         )
-        payload["h"] = [str(h) for h in desc.h]
+        payload["h"] = [str(h) for h in desc.reduction.zs]
     else:
-        dims = [space.dim for space in desc.row_spaces(0)]
+        dims = [space.dim for space in desc.reduction.isotropy_rows(0)]
         for t, dim in enumerate(dims, start=1):
             lines.append(f"row {t}: solution space of dimension {dim} (C-row and g_{t})")
         lines.append("members: x -> x + c, y_t -> sum_j C[t][j] y_j + g_t(x), det C != 0")

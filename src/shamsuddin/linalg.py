@@ -225,29 +225,28 @@ def rref_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
     return tuple(tuple(Fraction(v, ech[r][c]) for v in ech[r]) for r, c in pivots)
 
 
-def echelon_affine(
-    vectors: Sequence[Sequence[Scalar]], points: Sequence[Sequence[Scalar]]
-) -> tuple[AffineSpace, ...]:
-    """point + span(vectors) for each point, in the form QMatrix.solve_affine
-    gives for any system with that solution set: one basis vector per free
-    column, with 1 there and 0 at the other free columns, and a particular
-    solution that is 0 at every free column.
+def echelon_basis(vectors: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
+    """Canonical basis of span(vectors) in the form QMatrix.solve_affine
+    gives for any system with that solution set: one vector per free column,
+    with 1 there and 0 at the other free columns.
 
     A column is free when some vector of the span has its last nonzero entry
     there, so the free columns are the pivots of the reduced row echelon form
-    read from the right.
+    read from the right, and each basis vector ends at its free column.
     """
-    basis = tuple(v[::-1] for v in reversed(rref_rows([v[::-1] for v in vectors])))
-    free = [max(i for i, e in enumerate(v) if e) for v in basis]
-    spaces = []
-    for point in points:
-        p = [as_rational(e) for e in point]
-        for f, v in zip(free, basis):
-            q = p[f]
-            if q:
-                p = [e - q * b for e, b in zip(p, v)]
-        spaces.append(AffineSpace(tuple(p), basis))
-    return tuple(spaces)
+    return tuple(v[::-1] for v in reversed(rref_rows([v[::-1] for v in vectors])))
+
+
+def affine_space(point: Sequence[Scalar], basis: tuple[Vector, ...]) -> AffineSpace:
+    """point + span(basis), for a basis from echelon_basis, with the
+    particular solution solve_affine gives: the one that is 0 at every free
+    column."""
+    p = [as_rational(e) for e in point]
+    for v in basis:
+        q = p[max(i for i, e in enumerate(v) if e)]
+        if q:
+            p = [e - q * b for e, b in zip(p, v)]
+    return AffineSpace(tuple(p), basis)
 
 
 # -- nonnegative kernel via a fraction-free phase-I simplex -------------------

@@ -8,16 +8,19 @@ system R in the k_j alone, with one row per power of x below deg a.  A
 BlockReduction holds that reduction for one block and answers both verdicts
 from it: the simplicity witness is the first reduced row of the kernel of R,
 and the isotropy rows, the same equation with one target term b_t(x + c),
-have an explicit particular solution, so no further system is solved.
+have an explicit particular solution, so no further system is solved.  The
+rows' homogeneous solutions do not depend on the shift c; they are
+row-reduced once per block, on first use, and every shift reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .linalg import AffineSpace, QMatrix, Vector, VerificationError, echelon_affine, rref_rows
+from .linalg import AffineSpace, QMatrix, Vector, VerificationError, affine_space, echelon_basis, rref_rows
 from .polynomials import NEG_INF, Rational, UniPoly
 
 
@@ -83,7 +86,9 @@ class BlockReduction:
     and z - sum_j k_j z_j lies in the kernel of z -> z' - a z (the constants
     when a = 0, only 0 otherwise).  ``kernel`` is a basis of those k: the
     kernel of the remainder matrix R, with deg a rows and one column per b_j.
-    ``bound`` is degree_bound(a, bs).
+    ``bound`` is degree_bound(a, bs).  It is the one record of the block
+    that describe reads: the a = 0 family's h_t are the z_j, and the
+    isotropy rows' shared basis is cached here on first use.
     """
 
     a: UniPoly
@@ -116,34 +121,41 @@ class BlockReduction:
             raise VerificationError(f"parametric ODE witness k={k}, z={z} failed its check")
         return k, z
 
+    @cached_property
+    def _row_basis(self) -> tuple[Vector, ...]:
+        """The homogeneous solutions of every isotropy row over the unknowns
+        (C_1..C_r, g_0..g_B), in echelon_basis form: C in the kernel with
+        g = -sum_j C_j z_j, plus the constants g when a = 0.  None of it
+        depends on the shift, so it is row-reduced once per block."""
+        top = -1 if self.bound is None else self.bound
+        vectors = [(*k, *(-_combine(k, self.zs)).coeff_vector(top)) for k in self.kernel]
+        if self.a.is_zero:
+            vectors.append((*(Fraction(0),) * len(self.bs), *UniPoly.one().coeff_vector(top)))
+        return echelon_basis(vectors)
+
     def isotropy_rows(self, c: Rational | int) -> tuple[AffineSpace, ...]:
         """Solution sets of g' = a g + b_t(x + c) - sum_j C_j b_j, one per row
         t, over the unknowns (C_1..C_r, g_0..g_B) with B = bound.
 
-        The homogeneous solutions are C in the kernel with g = -sum_j C_j z_j,
-        plus the constants g when a = 0.  Row t has the particular solution
-        C = e_t, g = z_t(x + c) - z_t: for constant a, r_t = 0 and
-        z -> z' - a z commutes with x -> x + c, and at c = 0 it is the
-        identity row for every a.  So no linear system is solved.  The shift
-        must be 0 when deg a >= 1 (ValueError otherwise), and each particular
-        is checked exactly.  The sets come in the form QMatrix.solve_affine
-        gives (see echelon_affine).
+        Every row shares the homogeneous solutions (_row_basis, reduced on
+        first use).  Row t adds the particular solution C = e_t,
+        g = z_t(x + c) - z_t: for constant a, r_t = 0 and z -> z' - a z
+        commutes with x -> x + c, and at c = 0 it is the identity row for
+        every a.  So no linear system is solved, and each call only reduces
+        these r points against the basis.  The shift must be 0 when
+        deg a >= 1 (ValueError otherwise), and each particular is checked
+        exactly.  The sets come in the form QMatrix.solve_affine gives (see
+        echelon_basis).
         """
         if c and self.a.degree >= 1:
             raise ValueError("shift is forced to 0 for this block")
         r = len(self.bs)
         top = -1 if self.bound is None else self.bound
-
-        def vector(k: Sequence[Rational], g: UniPoly) -> Vector:
-            return (*k, *g.coeff_vector(top))
-
-        homogeneous = [vector(k, -_combine(k, self.zs)) for k in self.kernel]
-        if self.a.is_zero:
-            homogeneous.append(vector((Fraction(0),) * r, UniPoly.one()))
-        points = []
+        spaces = []
         for t, (b, z) in enumerate(zip(self.bs, self.zs)):
             g = z.shift(c) - z
             if g.degree > top or g.derivative() != self.a * g + b.shift(c) - b:
                 raise VerificationError(f"isotropy row {t + 1} particular failed its check")
-            points.append(vector([Fraction(int(j == t)) for j in range(r)], g))
-        return echelon_affine(homogeneous, points)
+            point = (*(Fraction(int(j == t)) for j in range(r)), *g.coeff_vector(top))
+            spaces.append(affine_space(point, self._row_basis))
+        return tuple(spaces)

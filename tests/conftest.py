@@ -36,8 +36,8 @@ from shamsuddin import (
     reduce_linear_ode,
     rref_rows,
 )
-from shamsuddin.linalg import Vector, echelon_affine
-from shamsuddin.polynomials import NEG_INF, as_rational
+from shamsuddin.linalg import Vector
+from shamsuddin.polynomials import NEG_INF, Scalar, as_rational
 from shamsuddin.textio import MAX_DEPTH, MAX_EXPONENT, _split_entries
 
 # -- hypothesis strategies ----------------------------------------------------
@@ -493,6 +493,31 @@ def _reduce_block(
     coefficient of x^i in every r_c (deg a rows, none when a is constant)."""
     reduced = [reduce_linear_ode(-a, c) for c in cs]
     return reduced, [[rem.coeff(i) for _, rem in reduced] for i in range(max(a.degree, 0))]
+
+
+def echelon_affine(
+    vectors: Sequence[Sequence[Scalar]], points: Sequence[Sequence[Scalar]]
+) -> tuple[AffineSpace, ...]:
+    """point + span(vectors) for each point, in the form QMatrix.solve_affine
+    gives for any system with that solution set: one basis vector per free
+    column, with 1 there and 0 at the other free columns, and a particular
+    solution that is 0 at every free column.
+
+    A column is free when some vector of the span has its last nonzero entry
+    there, so the free columns are the pivots of the reduced row echelon form
+    read from the right.
+    """
+    basis = tuple(v[::-1] for v in reversed(rref_rows([v[::-1] for v in vectors])))
+    free = [max(i for i, e in enumerate(v) if e) for v in basis]
+    spaces = []
+    for point in points:
+        p = [as_rational(e) for e in point]
+        for f, v in zip(free, basis):
+            q = p[f]
+            if q:
+                p = [e - q * b for e, b in zip(p, v)]
+        spaces.append(AffineSpace(tuple(p), basis))
+    return tuple(spaces)
 
 
 def parametric_spaces(

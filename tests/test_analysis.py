@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -126,7 +127,7 @@ def test_unchecked_isotropy_particular_raises(monkeypatch):
     for a, bs in [(ZERO, [ONE]), (ONE, [X]), (constant_poly(-2), [X, ONE])]:
         desc = isotropy_describe_block(a, bs)
         with pytest.raises(VerificationError):
-            desc.row_spaces(1)
+            desc.reduction.isotropy_rows(1)
 
 
 def test_is_simple_examples():
@@ -241,7 +242,7 @@ def test_witness_moves_only_its_block(pairs, moved):
 def test_describe_constant_a():
     desc = isotropy_describe_block(ONE, [ZERO])
     assert desc.case is IsotropyCase.A_CONST and not desc.shift_forced_zero
-    (space,) = desc.row_spaces(0)
+    (space,) = desc.reduction.isotropy_rows(0)
     assert space.dim == 1  # the C entry is free; g is forced (to 0 here)
     member = sample_isotropy_element(desc, seed=1)
     assert member is not None
@@ -252,13 +253,13 @@ def test_describe_constant_a():
 def test_describe_deg_ge_1_identity_only():
     desc = isotropy_describe_block(X, [ONE])
     assert desc.case is IsotropyCase.A_DEG_GE_1 and desc.shift_forced_zero
-    (space,) = desc.row_spaces(0)
+    (space,) = desc.reduction.isotropy_rows(0)
     assert space.dim == 0
     assert space.particular == (1,)  # C = (1), no g coefficients
     member = sample_isotropy_element(desc, seed=0)
     assert affine_to_endo(member).is_identity
     with pytest.raises(ValueError):
-        desc.row_spaces(1)
+        desc.reduction.isotropy_rows(1)
 
 
 @pytest.mark.parametrize(
@@ -288,10 +289,39 @@ def test_describe_reduces_each_b_once(monkeypatch, deriv):
         assert len(calls) <= 3
 
 
+@pytest.mark.parametrize(
+    "deriv",
+    [
+        "y1: a=2, b=x^2+1 ; y2: a=2, b=x ; y3: a=2, b=0",
+        "y1: a=-2, b=x^3 ; y2: a=-2, b=x^2-1 ; y3: a=-2, b=1",
+        "y1: a=x+1, b=x^3 ; y2: a=x+1, b=x^2-1 ; y3: a=x+1, b=1",
+        "y1: a=x^3-x, b=x^5 ; y2: a=x^3-x, b=x^4+2",
+    ],
+)
+def test_describe_row_reduces_once(monkeypatch, deriv):
+    """The isotropy rows' homogeneous basis does not depend on the shift:
+    one describe request, which reads the rows at c = 0 and once per
+    sampled draw, row-reduces it exactly once."""
+    calls = []
+    original = linalg.rref_rows
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return original(vectors)
+
+    for module in (linalg, ode):
+        monkeypatch.setattr(module, "rref_rows", counting)
+    for seed in (0, 1, 5, 9):
+        calls.clear()
+        argv = ["describe", "--deriv", deriv, "--seed", str(seed)]
+        assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
+        assert len(calls) == 1
+
+
 def test_describe_zero_a():
     desc = isotropy_describe_block(ZERO, [ONE])
     assert desc.case is IsotropyCase.A_ZERO
-    assert desc.h == (X,)
+    assert desc.reduction.zs == (X,)
     member = sample_isotropy_element(desc, seed=3)
     assert isinstance(member, AffineEndo)
     assert commutes(affine_to_endo(member), normalize([(ZERO, ONE)]))
@@ -327,9 +357,9 @@ def test_describe_row_spaces_sound_and_complete():
     cases = [(ONE, [X]), (X**2, [X**2]), (X, [ONE, X])]
     for a, bs in cases:
         desc = isotropy_describe_block(a, bs)
-        spaces = desc.row_spaces(0)
+        spaces = desc.reduction.isotropy_rows(0)
         r = len(bs)
-        bound = desc.g_bound if desc.g_bound is not None else -1
+        bound = desc.reduction.bound if desc.reduction.bound is not None else -1
         for t in range(r):
             space = spaces[t]
             corners = [space.particular] + [
@@ -369,12 +399,21 @@ def isotropy_blocks(draw):
 
 
 @settings(max_examples=150)
-@given(isotropy_blocks())
-def test_iso_row_spaces_equal_dense_oracle(block):
+@given(isotropy_blocks(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), max_size=3))
+def test_iso_row_spaces_equal_dense_oracle(block, more_shifts):
     """Same particular solution and same basis as the dense row solve, not
-    only the same span: samples are drawn from these exact vectors."""
+    only the same span: samples are drawn from these exact vectors.  One
+    reduction serves every shift in turn, so its cached basis must not
+    depend on the shift."""
     a, bs, c = block
-    assert isotropy_describe_block(a, bs).row_spaces(c) == iso_rows_oracle(a, bs, c)
+    reduction = isotropy_describe_block(a, bs).reduction
+    for shift in [c, *(more_shifts if a.degree <= 0 else [0] * len(more_shifts))]:
+        assert reduction.isotropy_rows(shift) == iso_rows_oracle(a, bs, shift)
+
+
+#: shifts each fixed case also reads, in turn, from the same reduction
+#: (only where the shift is free)
+MORE_SHIFTS = (0, Fraction(-1, 2), 2, -1)
 
 
 @pytest.mark.parametrize(
@@ -390,7 +429,9 @@ def test_iso_row_spaces_equal_dense_oracle(block):
     ],
 )
 def test_iso_row_spaces_fixed_cases(a, bs, c):
-    assert isotropy_describe_block(a, bs).row_spaces(c) == iso_rows_oracle(a, bs, c)
+    reduction = isotropy_describe_block(a, bs).reduction
+    for shift in [c, *(MORE_SHIFTS if a.degree <= 0 else [0])]:
+        assert reduction.isotropy_rows(shift) == iso_rows_oracle(a, bs, shift)
 
 
 def test_zero_a_family_nonaffine_member_commutes():
@@ -648,8 +689,25 @@ def test_preimage_check_raises_verification_error(monkeypatch):
             "analysis.QMatrix.entry = lambda self, i, j: -self.row(i)[j]",
             "analysis.nat_dependence_witness([UniPoly.x(), UniPoly.x() + ONE])",
         ),
+        (
+            "from shamsuddin import ode; _reduce = ode.reduce_linear_ode; "
+            "ode.reduce_linear_ode = lambda a, c: (_reduce(a, c)[0] + UniPoly.x() ** 2, _reduce(a, c)[1])",
+            "ode.BlockReduction.of(ONE, [UniPoly.x()]).isotropy_rows(1)",
+        ),
+        (
+            "from shamsuddin import ode; _reduce = ode.reduce_linear_ode; "
+            "ode.reduce_linear_ode = lambda a, c: (_reduce(a, c)[0] + UniPoly.x(), _reduce(a, c)[1])",
+            "analysis.is_simple_block(ONE, [UniPoly.x()])",
+        ),
     ],
-    ids=["preimage", "isotropy_witness", "dependence", "gordan_certificate"],
+    ids=[
+        "preimage",
+        "isotropy_witness",
+        "dependence",
+        "gordan_certificate",
+        "isotropy_particular",
+        "simplicity_witness",
+    ],
 )
 def test_preimage_check_survives_optimize_flag(patch, call):
     code = (
